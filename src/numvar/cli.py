@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict, astuple
 from typing import Dict, List, Optional
 
 from .errors import BudgetError, ConfigError, NumvarError
@@ -25,6 +26,7 @@ from .harness import (
     run_variance_experiment,
     run_verification_suite,
     summary_to_json,
+    table_to_csv,
 )
 from .harness import _task_alpha
 from .sequences import dilate_mod1, generate_sequence
@@ -35,8 +37,6 @@ from .stats import (
     pair_correlation_fourier,
 )
 from .theory import fourier_coefficient
-import csv as _csv
-import io
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -139,20 +139,8 @@ def _cmd_paircorr(args: argparse.Namespace, defaults: Dict[str, str]) -> int:
     if (args.format or "csv") == "json":
         _emit(json.dumps(records, indent=2) + "\n", args.out)
     else:
-        buf = io.StringIO()
-        writer = _csv.writer(buf, lineterminator="\r\n")
-        header = list(records[0].keys())
-        writer.writerow(header)
-        for rec in records:
-            writer.writerow([_field(rec[h]) for h in header])
-        _emit(buf.getvalue(), args.out)
+        _emit(table_to_csv(list(records[0]), [rec.values() for rec in records]), args.out)
     return 0
-
-
-def _field(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def _cmd_energy(args: argparse.Namespace, defaults: Dict[str, str]) -> int:
@@ -185,17 +173,9 @@ def _cmd_coeffs(args: argparse.Namespace, defaults: Dict[str, str]) -> int:
     params = WindowParams.from_beta(n_value, cfg.beta)
     coeffs = [fourier_coefficient(seq, k, params) for k in range(1, args.kmax + 1)]
     if (args.format or "csv") == "json":
-        payload = [
-            {"k": c.k, "value": c.value, "N": c.N, "L": c.L} for c in coeffs
-        ]
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        _emit(json.dumps([asdict(c) for c in coeffs], indent=2) + "\n", args.out)
     else:
-        buf = io.StringIO()
-        writer = _csv.writer(buf, lineterminator="\r\n")
-        writer.writerow(("k", "value", "N", "L"))
-        for c in coeffs:
-            writer.writerow((str(c.k), repr(c.value), str(c.N), repr(c.L)))
-        _emit(buf.getvalue(), args.out)
+        _emit(table_to_csv(("k", "value", "N", "L"), [astuple(c) for c in coeffs]), args.out)
     return 0
 
 

@@ -14,17 +14,32 @@ represented by numerator k then alpha.mul_int(a) is represented by
 (k * a) mod 2**128, which is exactly the fractional part of a * (k /
 2**128) scaled back to the grid.  No rounding ever occurs after
 construction.
+
+Bulk points are stored as two parallel uint64 arrays of words (hi, lo),
+numerator = hi * 2**64 + lo.  The module-level word functions below are
+the only code that knows this layout: splitting and joining numerators,
+the dilation multiply, addition mod 2**128, comparison, rank queries,
+sorting, and phases.  All of them are exact.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Iterable, Tuple
+
+import numpy as np
 
 FRACTION_BITS = 128
 MODULUS = 1 << FRACTION_BITS
 
+# phase_top_bits needs n < 2**32 so 32-bit limb products fit in uint64.
+PHASE_N_BOUND = 1 << 32
+
 _HEX_DIGITS = FRACTION_BITS // 4
+_M64 = (1 << 64) - 1
+_MASK32 = np.uint64(0xFFFFFFFF)
+_U64 = np.uint64
 
 
 class FixedPointReal:
@@ -120,3 +135,137 @@ class FixedPointReal:
 
     def __repr__(self) -> str:
         return "FixedPointReal(0x%s)" % self.to_hex()
+
+
+# ---------------------------------------------------------------------------
+# word arrays: numerator = hi * 2**64 + lo, both uint64
+# ---------------------------------------------------------------------------
+
+def split(numerator: int) -> Tuple[int, int]:
+    """(hi, lo) words of numerator mod 2**128, as Python ints."""
+    numerator %= MODULUS
+    return numerator >> 64, numerator & _M64
+
+
+def join(hi, lo) -> int:
+    """Numerator with words hi and lo, each taken mod 2**64."""
+    return ((int(hi) & _M64) << 64) | (int(lo) & _M64)
+
+
+def to_words(numerators: Iterable[int]) -> Tuple[np.ndarray, np.ndarray]:
+    """(hi, lo) uint64 arrays of integer numerators, reduced mod 2**128."""
+    pairs = [split(int(v)) for v in numerators]
+    hi = np.array([h for h, _ in pairs], dtype=np.uint64)
+    lo = np.array([l for _, l in pairs], dtype=np.uint64)
+    return hi, lo
+
+
+def to_floats(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """float64 view of each numerator / 2**128: the top ~53 bits, may round to 1.0."""
+    return hi.astype(np.float64) * 2.0**-64 + lo.astype(np.float64) * 2.0**-128
+
+
+def mul_words(numerator: int, terms: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(numerator * a) mod 2**128 for every int64 term a, as (hi, lo) words.
+
+    Everything runs in uint64 with 32-bit limbs.  A partial product
+    A_i * b_j is < 2**64; the per-column accumulators only ever sum a
+    handful of values < 2**32 plus a small carry, so no intermediate
+    overflows.  Negative terms are handled by multiplying |a| and then
+    negating mod 2**128.
+    """
+    numerator %= MODULUS
+    limbs = [_U64((numerator >> (32 * k)) & 0xFFFFFFFF) for k in range(4)]
+    neg = terms < 0
+    mag = np.abs(terms).astype(np.uint64)
+    b0 = mag & _MASK32
+    b1 = mag >> _U64(32)
+
+    cols = [np.zeros(terms.shape, dtype=np.uint64) for _ in range(4)]
+    for i, ai in enumerate(limbs):
+        for j, bj in ((0, b0), (1, b1)):
+            k = i + j
+            if k > 3:
+                continue
+            prod = ai * bj
+            cols[k] += prod & _MASK32
+            if k + 1 <= 3:
+                cols[k + 1] += prod >> _U64(32)
+
+    words = []
+    carry = np.zeros(terms.shape, dtype=np.uint64)
+    for k in range(4):
+        tot = cols[k] + carry
+        words.append(tot & _MASK32)
+        carry = tot >> _U64(32)
+
+    lo = words[0] | (words[1] << _U64(32))
+    hi = words[2] | (words[3] << _U64(32))
+
+    # two's-complement negation across the 128-bit pair
+    lo_n = _U64(0) - lo
+    hi_n = np.where(lo == 0, _U64(0) - hi, ~hi)
+    return np.where(neg, hi_n, hi), np.where(neg, lo_n, lo)
+
+
+def add_words(hi: np.ndarray, lo: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(hi, lo) + k mod 2**128 for every word pair; a negative k subtracts."""
+    k_hi, k_lo = split(k)
+    out_lo = lo + _U64(k_lo)
+    carry = (out_lo < lo).astype(np.uint64)
+    return hi + _U64(k_hi) + carry, out_lo
+
+
+def less_words(a_hi, a_lo, b_hi, b_lo) -> np.ndarray:
+    """Elementwise a < b on numerators given as word pairs."""
+    return (a_hi < b_hi) | ((a_hi == b_hi) & (a_lo < b_lo))
+
+
+def argsort_words(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """Stable permutation sorting the numerators ascending."""
+    return np.lexsort((lo, hi))
+
+
+def rank_words(pts_hi, pts_lo, q_hi, q_lo) -> np.ndarray:
+    """#sorted points strictly below each query numerator, vectorized.
+
+    Two-level: searchsorted on the high words settles everything except
+    queries landing inside a run of equal high words; those runs are
+    resolved by grouped searchsorted on the low words.  Runs are rare
+    for generic alpha but routine for small rational alpha.
+    """
+    a = np.searchsorted(pts_hi, q_hi, side="left")
+    b = np.searchsorted(pts_hi, q_hi, side="right")
+    rank = a.astype(np.int64)
+    tie = b > a
+    if np.any(tie):
+        idx = np.flatnonzero(tie)
+        blocks = a[idx]
+        for start in np.unique(blocks):
+            members = idx[blocks == start]
+            end = b[members[0]]
+            sub = pts_lo[start:end]
+            rank[members] += np.searchsorted(sub, q_lo[members], side="left")
+    return rank
+
+
+def phase_top_bits(nn: np.ndarray, u_hi: np.ndarray, u_lo: np.ndarray) -> np.ndarray:
+    """Top 64 bits of (n * u) mod 2**128 as floats in [0, 1], one row per n.
+
+    nn must be < PHASE_N_BOUND so 32-bit limb products fit in uint64;
+    larger n raise ValueError.  The dropped low word perturbs each phase
+    by < 2**-64 turns before the final rounding to float64.
+    """
+    if nn.size and int(nn.max()) >= PHASE_N_BOUND:
+        raise ValueError("phase multiplier n must be < 2**32")
+    n_col = nn[:, None]
+    lo_lo = u_lo & _MASK32
+    lo_hi = u_lo >> _U64(32)
+    t0 = n_col * lo_lo[None, :]
+    t1 = n_col * lo_hi[None, :]
+    part = (t1 & _MASK32) << _U64(32)
+    low = part + t0
+    carry = (low < part).astype(np.uint64)
+    carry_tot = (t1 >> _U64(32)) + carry
+    v_hi = n_col * u_hi[None, :] + carry_tot
+    return v_hi.astype(np.float64) * 2.0**-64

@@ -19,7 +19,7 @@ import io
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -27,7 +27,7 @@ from numpy.random import Philox
 
 from .energy import additive_energy, difference_profile, difference_energy
 from .errors import BudgetError, ConfigError
-from .fixedpoint import FixedPointReal
+from .fixedpoint import FixedPointReal, join
 from .sequences import (
     IntegerSequence,
     SequenceSpec,
@@ -43,8 +43,6 @@ from .stats import (
     pair_correlation_direct,
 )
 from . import theory
-
-_MASK64 = (1 << 64) - 1
 
 MAX_N = 10**6
 MAX_ALPHA_SAMPLES = 10**4
@@ -117,7 +115,6 @@ class ExperimentConfig:
     alpha_samples: int = 100
     seed: int = 0
     delta: float = 0.25
-    epsilon: float = 0.1
     mc_samples: Optional[int] = None
     tol: float = 1e-6
     workers: int = 1
@@ -147,8 +144,7 @@ class ExperimentConfig:
 
 
 _CONFIG_KEYS = {
-    "seq", "beta", "schedule", "alphas", "seed", "delta",
-    "epsilon", "mc", "tol", "workers",
+    "seq", "beta", "schedule", "alphas", "seed", "delta", "mc", "tol", "workers",
 }
 
 
@@ -200,7 +196,6 @@ def config_from_mapping(mapping: Dict[str, str]) -> ExperimentConfig:
         alpha_samples=_get("alphas", int, 100),
         seed=_get("seed", int, 0),
         delta=_get("delta", float, 0.25),
-        epsilon=_get("epsilon", float, 0.1),
         mc_samples=mc if mc > 0 else None,
         tol=_get("tol", float, 1e-6),
         workers=_get("workers", int, 1),
@@ -225,19 +220,6 @@ class ExperimentRow:
     r2_tent: float
     method: str
 
-    def to_fields(self) -> Tuple[str, ...]:
-        return (
-            self.seq_id,
-            str(self.N),
-            repr(self.beta),
-            repr(self.L),
-            self.alpha_hex,
-            repr(self.sigma2),
-            repr(self.sigma2_over_L),
-            repr(self.r2_tent),
-            self.method,
-        )
-
     @classmethod
     def from_fields(cls, fields: Sequence[str]) -> "ExperimentRow":
         if len(fields) != len(CSV_HEADER):
@@ -255,13 +237,18 @@ class ExperimentRow:
         )
 
 
-def rows_to_csv(rows: Sequence[ExperimentRow]) -> str:
+def table_to_csv(header: Sequence[str], rows) -> str:
+    """CSV text with CRLF line ends; floats as repr (shortest round trip), others as str."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerow(CSV_HEADER)
+    writer.writerow(header)
     for row in rows:
-        writer.writerow(row.to_fields())
+        writer.writerow([repr(v) if isinstance(v, float) else str(v) for v in row])
     return buf.getvalue()
+
+
+def rows_to_csv(rows: Sequence[ExperimentRow]) -> str:
+    return table_to_csv(CSV_HEADER, [astuple(row) for row in rows])
 
 
 def rows_from_csv(text: str) -> List[ExperimentRow]:
@@ -278,8 +265,7 @@ def rows_from_csv(text: str) -> List[ExperimentRow]:
 
 def _task_alpha(seed: int, n_value: int, index: int) -> FixedPointReal:
     """Dilation factor for one (N, index) cell: stream keyed by (seed, N)."""
-    key = ((n_value & _MASK64) << 64) | (seed & _MASK64)
-    return sample_alpha(key, index)
+    return sample_alpha(join(n_value, seed), index)
 
 
 def _variance_cell(
@@ -295,7 +281,7 @@ def _variance_cell(
         result = number_variance_exact(points, params)
     else:
         # per-cell center stream: distinct key for every (N, index) cell
-        cell_key = (((params.N & _MASK64) << 64) | (seed & _MASK64)) + index
+        cell_key = join(params.N, seed) + index
         result = number_variance_montecarlo(points, params, mc_samples, cell_key)
     L = params.L
     # r2 via the exact algebraic identity with the tent pair correlation
@@ -426,20 +412,7 @@ def run_energy_sweep(cfg: ExperimentConfig) -> List[Dict]:
 
 
 def energy_table_to_csv(table: Sequence[Dict]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerow(ENERGY_HEADER)
-    for row in table:
-        writer.writerow(
-            (
-                str(row["N"]),
-                str(row["energy"]),
-                repr(row["energy_over_N2"]),
-                repr(row["log_energy_over_log_N"]),
-                str(row["difference_energy"]),
-            )
-        )
-    return buf.getvalue()
+    return table_to_csv(ENERGY_HEADER, [[row[h] for h in ENERGY_HEADER] for row in table])
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +428,7 @@ def _rng(seed: int, tag: int) -> np.random.Generator:
 
 def _random_alpha(rng: np.random.Generator) -> FixedPointReal:
     w = rng.integers(0, 1 << 64, size=2, dtype=np.uint64)
-    return FixedPointReal((int(w[0]) << 64) | int(w[1]))
+    return FixedPointReal(join(w[0], w[1]))
 
 
 def _random_sequence(rng: np.random.Generator, n_value: int) -> IntegerSequence:

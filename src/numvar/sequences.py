@@ -10,9 +10,8 @@ permutation back to sequence order.
 
 Exactness of the bulk dilation is the load-bearing property: at N near
 1e5 and terms near 2**34, float64 reduction of a*alpha mod 1 would lose
-the low bits that local statistics live on.  The word-level routine
-below reproduces (numerator * a) mod 2**128 bit for bit; a test pins it
-against plain Python integer arithmetic.
+the low bits that local statistics live on.  The word arithmetic lives
+in fixedpoint and reproduces (numerator * a) mod 2**128 bit for bit.
 """
 
 from __future__ import annotations
@@ -26,16 +25,25 @@ import numpy as np
 from numpy.random import Philox
 
 from .errors import DuplicateError
-from .fixedpoint import FRACTION_BITS, MODULUS, FixedPointReal
+from .fixedpoint import (
+    FixedPointReal,
+    add_words,
+    argsort_words,
+    join,
+    mul_words,
+    to_floats,
+    to_words,
+)
 
-# Terms must satisfy |a| < 2**62 so that 32-bit limb products and their
-# column sums stay strictly inside uint64 during the dilation kernel.
+# Terms must satisfy |a| < 2**62: then a * alpha keeps more than 64
+# significant bits below the unit on the 128-bit grid.
 TERM_BITS = 62
 TERM_BOUND = 1 << TERM_BITS
 
-_MASK32 = np.uint64(0xFFFFFFFF)
-_U64 = np.uint64
 _ALPHA_STREAM = 0x616C7068  # distinct Philox counter tag for alpha draws
+
+# option keys SequenceSpec.parse accepts, per family
+_SPEC_OPTIONS = {"monomial": {"d", "degree", "offset"}, "lacunary": {"base", "offset"}}
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +103,8 @@ class SequenceSpec:
         head = head.strip()
         if head == "custom":
             return load_sequence_file(rest.strip())
+        if head not in _SPEC_OPTIONS:
+            raise ValueError("unknown sequence kind %r" % (head,))
         opts = {}
         if rest.strip():
             for item in rest.split(","):
@@ -102,12 +112,13 @@ class SequenceSpec:
                 if not sep:
                     raise ValueError("malformed spec option %r" % (item,))
                 opts[key.strip()] = int(val)
+        unknown = sorted(set(opts) - _SPEC_OPTIONS[head])
+        if unknown:
+            raise ValueError("unknown %s option %r" % (head, unknown[0]))
         offset = opts.pop("offset", 0)
         if head == "monomial":
             return cls.monomial(opts.pop("d", opts.pop("degree", 0)), offset)
-        if head == "lacunary":
-            return cls.lacunary(opts.pop("base", 0), offset)
-        raise ValueError("unknown sequence kind %r" % (head,))
+        return cls.lacunary(opts.pop("base", 0), offset)
 
     def label(self) -> str:
         """Stable short identifier used in result tables."""
@@ -139,8 +150,8 @@ class IntegerSequence:
             raise ValueError("terms must be a nonempty 1-d array")
         if np.abs(t).max() >= TERM_BOUND:
             raise OverflowError(
-                "sequence term magnitude reaches 2**%d; exact dilation "
-                "requires |a| < 2**%d" % (TERM_BITS, TERM_BITS)
+                "sequence term magnitude reaches the exact-dilation bound 2**%d"
+                % TERM_BITS
             )
         if np.unique(t).size != t.size:
             raise DuplicateError("sequence terms are not distinct")
@@ -164,24 +175,29 @@ def generate_sequence(spec: SequenceSpec, count: int) -> IntegerSequence:
             )
         terms = np.array(spec.values[:count], dtype=np.int64)
     elif spec.kind == "monomial":
-        n = np.arange(1, count + 1, dtype=object) + spec.offset
-        vals = n**spec.degree
-        _check_bound(vals)
-        terms = np.array([int(v) for v in vals], dtype=np.int64)
-    else:  # lacunary
-        vals = [spec.base ** (n + spec.offset) for n in range(1, count + 1)]
-        _check_bound(vals)
+        # largest |n + offset|; 2**(b-1) <= top < 2**b bounds top**degree
+        # below 2**(b*degree), so the power is only built when it is small
+        top = max(abs(1 + spec.offset), abs(count + spec.offset))
+        b = top.bit_length()
+        if top > 1 and ((b - 1) * spec.degree >= TERM_BITS or top**spec.degree >= TERM_BOUND):
+            raise _term_overflow(top, spec.degree)
+        n = np.arange(1 + spec.offset, count + 1 + spec.offset, dtype=np.int64)
+        terms = n**spec.degree
+    else:  # lacunary: terms grow with n, so stop at the first one too large
+        vals = []
+        for e in range(1 + spec.offset, count + 1 + spec.offset):
+            vals.append(spec.base**e)
+            if vals[-1] >= TERM_BOUND:
+                raise _term_overflow(spec.base, e)
         terms = np.array(vals, dtype=np.int64)
     return IntegerSequence(terms=terms, spec=spec)
 
 
-def _check_bound(vals) -> None:
-    top = max(abs(int(v)) for v in vals)
-    if top >= TERM_BOUND:
-        raise OverflowError(
-            "term magnitude %d exceeds the exact-dilation bound 2**%d"
-            % (top, TERM_BITS)
-        )
+def _term_overflow(base: int, exponent: int) -> OverflowError:
+    return OverflowError(
+        "term magnitude %d**%d reaches the exact-dilation bound 2**%d"
+        % (base, exponent, TERM_BITS)
+    )
 
 
 def load_sequence_file(path: str | os.PathLike) -> SequenceSpec:
@@ -211,57 +227,6 @@ def load_sequence_file(path: str | os.PathLike) -> SequenceSpec:
 # exact dilation
 # ---------------------------------------------------------------------------
 
-def _alpha_limbs(numerator: int) -> Tuple[np.uint64, ...]:
-    """Split a 128-bit numerator into four 32-bit limbs, little-endian."""
-    return tuple(
-        _U64((numerator >> (32 * k)) & 0xFFFFFFFF) for k in range(4)
-    )
-
-
-def _dilate_words(alpha_num: int, terms: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(alpha_num * a) mod 2**128 for every term a, as (hi, lo) uint64 words.
-
-    Everything runs in uint64 with 32-bit limbs.  A partial product
-    A_i * b_j is < 2**64; the per-column accumulators only ever sum a
-    handful of values < 2**32 plus a small carry, so no intermediate
-    overflows.  Negative terms are handled by multiplying |a| and then
-    negating mod 2**128.
-    """
-    a0, a1, a2, a3 = _alpha_limbs(alpha_num)
-    neg = terms < 0
-    mag = np.abs(terms).astype(np.uint64)
-    b0 = mag & _MASK32
-    b1 = mag >> _U64(32)
-
-    cols = [np.zeros(terms.shape, dtype=np.uint64) for _ in range(4)]
-    for i, ai in enumerate((a0, a1, a2, a3)):
-        for j, bj in ((0, b0), (1, b1)):
-            k = i + j
-            if k > 3:
-                continue
-            prod = ai * bj
-            cols[k] += prod & _MASK32
-            if k + 1 <= 3:
-                cols[k + 1] += prod >> _U64(32)
-
-    words = []
-    carry = np.zeros(terms.shape, dtype=np.uint64)
-    for k in range(4):
-        tot = cols[k] + carry
-        words.append(tot & _MASK32)
-        carry = tot >> _U64(32)
-
-    lo = words[0] | (words[1] << _U64(32))
-    hi = words[2] | (words[3] << _U64(32))
-
-    # two's-complement negation across the 128-bit pair
-    lo_n = _U64(0) - lo
-    hi_n = np.where(lo == 0, _U64(0) - hi, ~hi)
-    lo = np.where(neg, lo_n, lo)
-    hi = np.where(neg, hi_n, hi)
-    return hi, lo
-
-
 class PointSet:
     """Sorted exact points frac(alpha * a_j) on the unit circle.
 
@@ -278,35 +243,38 @@ class PointSet:
         self.source_index = source_index
         self.alpha = alpha
         self.sequence = sequence
-        self.x = hi.astype(np.float64) * 2.0**-64 + lo.astype(np.float64) * 2.0**-128
+        self.x = to_floats(hi, lo)
 
     def __len__(self) -> int:
         return int(self.hi.size)
 
     def numerator(self, i: int) -> int:
         """Exact 128-bit numerator of point i (sorted order)."""
-        return (int(self.hi[i]) << 64) | int(self.lo[i])
+        return join(self.hi[i], self.lo[i])
 
     def point(self, i: int) -> FixedPointReal:
         return FixedPointReal(self.numerator(i))
 
     @classmethod
-    def from_numerators(cls, numerators) -> "PointSet":
-        """Point set from explicit 128-bit numerators (order-free)."""
-        nums = [int(v) % MODULUS for v in numerators]
-        if not nums:
-            raise ValueError("need at least one point")
-        hi = np.array([v >> 64 for v in nums], dtype=np.uint64)
-        lo = np.array([v & ((1 << 64) - 1) for v in nums], dtype=np.uint64)
-        order = np.lexsort((lo, hi))
-        idx_dtype = np.uint32 if len(nums) < (1 << 32) else np.uint64
+    def _from_words(cls, hi, lo, alpha=None, sequence=None) -> "PointSet":
+        """Point set from unsorted (hi, lo) word arrays; source_index is the sort."""
+        order = argsort_words(hi, lo)
+        idx_dtype = np.uint32 if hi.size < (1 << 32) else np.uint64
         return cls(
             hi=hi[order],
             lo=lo[order],
             source_index=order.astype(idx_dtype),
-            alpha=None,
-            sequence=None,
+            alpha=alpha,
+            sequence=sequence,
         )
+
+    @classmethod
+    def from_numerators(cls, numerators) -> "PointSet":
+        """Point set from explicit 128-bit numerators (order-free)."""
+        hi, lo = to_words(numerators)
+        if not hi.size:
+            raise ValueError("need at least one point")
+        return cls._from_words(hi, lo)
 
     @classmethod
     def from_floats(cls, values) -> "PointSet":
@@ -316,27 +284,17 @@ class PointSet:
         )
 
     def shifted(self, offset: FixedPointReal) -> "PointSet":
-        """New point set with every point rotated by offset mod 1, exactly."""
-        nums = [
-            ((int(h) << 64 | int(l)) + offset.numerator) % MODULUS
-            for h, l in zip(self.hi, self.lo)
-        ]
-        return PointSet.from_numerators(nums)
+        """New point set with every point rotated by offset mod 1, exactly.
+
+        source_index refers to positions in this (sorted) point set.
+        """
+        return PointSet._from_words(*add_words(self.hi, self.lo, offset.numerator))
 
 
 def dilate_mod1(alpha: FixedPointReal, seq: IntegerSequence) -> PointSet:
     """Map each term a to frac(alpha * a), exactly, and sort."""
-    hi, lo = _dilate_words(alpha.numerator, seq.terms)
-    order = np.lexsort((lo, hi))
-    n = seq.terms.size
-    idx_dtype = np.uint32 if n < (1 << 32) else np.uint64
-    return PointSet(
-        hi=hi[order],
-        lo=lo[order],
-        source_index=order.astype(idx_dtype),
-        alpha=alpha,
-        sequence=seq,
-    )
+    hi, lo = mul_words(alpha.numerator, seq.terms)
+    return PointSet._from_words(hi, lo, alpha=alpha, sequence=seq)
 
 
 # ---------------------------------------------------------------------------
@@ -355,4 +313,4 @@ def sample_alpha(seed: int, index: int) -> FixedPointReal:
         raise ValueError("index must be >= 0")
     bits = Philox(key=seed % (1 << 128), counter=[index, 0, 0, _ALPHA_STREAM])
     w = bits.random_raw(2)
-    return FixedPointReal((int(w[0]) << 64) | int(w[1]))
+    return FixedPointReal(join(w[0], w[1]))

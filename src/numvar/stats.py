@@ -35,12 +35,19 @@ import numpy as np
 from numpy.random import Philox
 
 from .errors import BudgetError, SupportError, WindowError
-from .fixedpoint import MODULUS, FixedPointReal
-from .sequences import IntegerSequence, PointSet, _dilate_words
+from .fixedpoint import (
+    MODULUS,
+    PHASE_N_BOUND,
+    FixedPointReal,
+    add_words,
+    less_words,
+    mul_words,
+    phase_top_bits,
+    rank_words,
+    to_words,
+)
+from .sequences import IntegerSequence, PointSet
 
-_U64 = np.uint64
-_MASK32 = np.uint64(0xFFFFFFFF)
-_MASK64 = (1 << 64) - 1
 _CENTER_STREAM = 0x63656E74  # Philox counter tag for window centers
 
 # Ceiling on spectral-sum terms; BudgetError above this (raise tol instead).
@@ -207,52 +214,17 @@ class PairCorrResult:
 # exact interval counting
 # ---------------------------------------------------------------------------
 
-def _rank_pairs(pts_hi, pts_lo, q_hi, q_lo):
-    """#points strictly below each 128-bit query, vectorized.
-
-    Two-level: searchsorted on the high words settles everything except
-    queries landing inside a run of equal high words; those runs are
-    resolved by grouped searchsorted on the low words.  Runs are rare
-    for generic alpha but routine for small rational alpha.
-    """
-    a = np.searchsorted(pts_hi, q_hi, side="left")
-    b = np.searchsorted(pts_hi, q_hi, side="right")
-    rank = a.astype(np.int64)
-    tie = b > a
-    if np.any(tie):
-        idx = np.flatnonzero(tie)
-        blocks = a[idx]
-        for start in np.unique(blocks):
-            members = idx[blocks == start]
-            end = b[members[0]]
-            sub = pts_lo[start:end]
-            rank[members] += np.searchsorted(sub, q_lo[members], side="left")
-    return rank
-
-
 def _window_counts(points: PointSet, params: WindowParams, c_hi, c_lo):
     """Exact S(c) for arrays of 128-bit centers given as (hi, lo) words."""
     n = len(points)
     ell_num = params.ell_numerator
     if ell_num >= MODULUS:
         return np.full(c_hi.shape, n, dtype=np.int64)
-    half = ell_num >> 1
-    h_hi = _U64(half >> 64)
-    h_lo = _U64(half & _MASK64)
-    e_hi = _U64(ell_num >> 64)
-    e_lo = _U64(ell_num & _MASK64)
-
-    lo_lo = c_lo - h_lo
-    borrow = (c_lo < h_lo).astype(np.uint64)
-    lo_hi = c_hi - h_hi - borrow
-
-    hi_lo = lo_lo + e_lo
-    carry = (hi_lo < lo_lo).astype(np.uint64)
-    hi_hi = lo_hi + e_hi + carry
-
-    wrap = (lo_hi > hi_hi) | ((lo_hi == hi_hi) & (lo_lo > hi_lo))
-    r_lo = _rank_pairs(points.hi, points.lo, lo_hi, lo_lo)
-    r_hi = _rank_pairs(points.hi, points.lo, hi_hi, hi_lo)
+    lo_hi, lo_lo = add_words(c_hi, c_lo, -(ell_num >> 1))
+    hi_hi, hi_lo = add_words(lo_hi, lo_lo, ell_num)
+    wrap = less_words(hi_hi, hi_lo, lo_hi, lo_lo)
+    r_lo = rank_words(points.hi, points.lo, lo_hi, lo_lo)
+    r_hi = rank_words(points.hi, points.lo, hi_hi, hi_lo)
     return r_hi - r_lo + wrap.astype(np.int64) * n
 
 
@@ -263,9 +235,7 @@ def count_in_interval(points: PointSet, center: FixedPointReal, params: WindowPa
     center_numerator -/+ halves of the exact dyadic image of ell, and
     membership is an exact integer comparison (half-open on the right).
     """
-    num = center.numerator
-    c_hi = np.array([num >> 64], dtype=np.uint64)
-    c_lo = np.array([num & _MASK64], dtype=np.uint64)
+    c_hi, c_lo = to_words([center.numerator])
     return int(_window_counts(points, params, c_hi, c_lo)[0])
 
 
@@ -444,25 +414,6 @@ def _pair_sum_bruteforce(y: np.ndarray, ell: float, f: TestFunction) -> float:
     return float(np.sum(np.asarray(chunk_sums))) if chunk_sums else 0.0
 
 
-def _phase_top_bits(nn: np.ndarray, u_hi: np.ndarray, u_lo: np.ndarray) -> np.ndarray:
-    """Top 64 bits of (n * u) mod 2**128 as floats in [0, 1).
-
-    nn must be < 2**32 so 32-bit limb products fit in uint64.  The
-    dropped low word perturbs each phase by < 2**-64 turns.
-    """
-    n_col = nn[:, None]
-    lo_lo = u_lo & _MASK32
-    lo_hi = u_lo >> _U64(32)
-    t0 = n_col * lo_lo[None, :]
-    t1 = n_col * lo_hi[None, :]
-    part = (t1 & _MASK32) << _U64(32)
-    low = part + t0
-    carry = (low < part).astype(np.uint64)
-    carry_tot = (t1 >> _U64(32)) + carry
-    v_hi = n_col * u_hi[None, :] + carry_tot
-    return v_hi.astype(np.float64) * 2.0**-64
-
-
 def pair_correlation_fourier(
     seq: IntegerSequence,
     alpha: FixedPointReal,
@@ -479,7 +430,8 @@ def pair_correlation_fourier(
     bound 2*N^2/(pi^2*L*M) is at most tol.  That bound combines
     tent_fourier(ell*n) <= 1/(pi*ell*n)^2 with the trivial bound N^2 on
     ||T_n|^2 - N|; the value actually achieved at the chosen M is
-    reported as truncation_bound.
+    reported as truncation_bound.  M must stay below 2**32, the range
+    where the phases are exact.
     """
     n_pts = len(seq)
     if params.N != n_pts:
@@ -492,18 +444,19 @@ def pair_correlation_fourier(
         raise BudgetError("tol must be positive: the truncation point diverges")
     m_terms = math.ceil(2.0 * n_pts * n_pts / (math.pi**2 * L * tol))
     m_terms = max(m_terms, 1)
-    if m_terms > max_terms:
+    ceiling = min(max_terms, PHASE_N_BOUND - 1)
+    if m_terms > ceiling:
         raise BudgetError(
             "spectral sum needs M=%d terms > ceiling %d; raise tol"
-            % (m_terms, max_terms)
+            % (m_terms, ceiling)
         )
-    u_hi, u_lo = _dilate_words(alpha.numerator, seq.terms)
+    u_hi, u_lo = mul_words(alpha.numerator, seq.terms)
 
     chunk = max(1, _PHASE_CHUNK_ENTRIES // n_pts)
     chunk_sums = []
     for n0 in range(1, m_terms + 1, chunk):
         nn = np.arange(n0, min(n0 + chunk, m_terms + 1), dtype=np.uint64)
-        theta = _phase_top_bits(nn, u_hi, u_lo)
+        theta = phase_top_bits(nn, u_hi, u_lo)
         ang = (2.0 * np.pi) * theta
         t_re = np.cos(ang).sum(axis=1)
         t_im = np.sin(ang).sum(axis=1)

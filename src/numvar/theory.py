@@ -40,6 +40,10 @@ from .stats import (
 
 _SUM_CHUNK = 1 << 22
 
+# Ceiling on N for the alpha_grid quadrature, which runs one direct pair
+# correlation per grid point; the parseval route has no such cap.
+_ALPHA_GRID_MAX_N = 256
+
 
 class Lemma1Result(NamedTuple):
     lhs: float
@@ -142,17 +146,13 @@ def _positive_divisors(k: int) -> list:
     return small + large[::-1]
 
 
-def fourier_coefficient(
-    seq: IntegerSequence, k: int, params: WindowParams, tol: float = 0.0
-) -> FourierCoefficient:
+def fourier_coefficient(seq: IntegerSequence, k: int, params: WindowParams) -> FourierCoefficient:
     """k-th Fourier coefficient of R2(tent) as a function of the dilation.
 
     Equals (L/N^2) * sum over nonzero integers n and profile differences
     w with n*w = k of W(w) * tent_fourier(ell n).  Only divisors n of k
-    contribute, so the sum is finite and exact; tol is accepted for
-    interface uniformity with the truncated checks but never used.
+    contribute, so the sum is finite and exact.
     """
-    del tol
     if k == 0:
         raise ValueError("k must be nonzero")
     profile = difference_profile(seq)
@@ -198,32 +198,35 @@ def x_second_moment(
     seq: IntegerSequence,
     params: WindowParams,
     method: str = "alpha_grid",
-    **budget,
+    *,
+    grid_start: int = 256,
+    grid_cap: int = 65536,
+    rel_tol: float = 1e-3,
+    tol: float = 1e-6,
+    max_terms: int = 10**9,
+    max_k: int = 1 << 26,
 ) -> float:
     """Variance of R2(tent) over the dilation factor.
 
     method "alpha_grid": quadrature of (R2 - (L - L/N))^2 over a uniform
-    dilation grid, doubling the density until two refinements agree to
-    rel_tol (default 1e-3), then Richardson-extrapolated.  Budget keys:
-    grid_start (256), grid_cap (65536), rel_tol.  Needs N <= 256.
+    dilation grid of grid_start points, doubling the density until two
+    refinements agree to rel_tol, then Richardson-extrapolated; more
+    than grid_cap points raise BudgetError.  Needs N <= 256.
 
     method "parseval": sum of squared Fourier coefficients over indices
     k = n * w, 1 <= n <= M and w in the difference profile, with M from
-    the same tail rule as the spectral pair correlation.  Coefficients
-    are accumulated by a blocked divisor sieve over k, so memory stays
-    bounded regardless of how many (n, w) pairs contribute.  Budget
-    keys: tol (1e-6), max_terms (1e9), max_k (2^26).  Slightly below
-    the true moment: |n| > M terms are dropped everywhere, and |k| >
-    max_k coefficients entirely; both tails decay like the cube of the
-    cutoff, and doubling the budgets is the practical convergence test.
+    the same tail rule (tol) as the spectral pair correlation, at most
+    max_terms.  Coefficients are accumulated by a blocked divisor sieve
+    over k, so memory stays bounded regardless of how many (n, w) pairs
+    contribute.  Slightly below the true moment: |n| > M terms are
+    dropped everywhere, and |k| > max_k coefficients entirely; both
+    tails decay like the cube of the cutoff, and doubling the budgets is
+    the practical convergence test.
     """
     if method == "alpha_grid":
-        cap_n = int(budget.get("max_n", 256))
-        if params.N > cap_n:
-            raise BudgetError("alpha_grid quadrature capped at N <= %d" % cap_n)
-        grid = int(budget.get("grid_start", 256))
-        grid_cap = int(budget.get("grid_cap", 65536))
-        rel_tol = float(budget.get("rel_tol", 1e-3))
+        if params.N > _ALPHA_GRID_MAX_N:
+            raise BudgetError("alpha_grid quadrature capped at N <= %d" % _ALPHA_GRID_MAX_N)
+        grid = grid_start
         mean = mean_pair_correlation(params)
 
         vals = pair_correlation_grid(seq, params, grid)
@@ -250,9 +253,6 @@ def x_second_moment(
             prev = cur
 
     if method == "parseval":
-        tol = float(budget.get("tol", 1e-6))
-        max_terms = int(budget.get("max_terms", 10**9))
-        max_k = int(budget.get("max_k", 1 << 26))
         if tol <= 0 or not math.isfinite(tol):
             raise BudgetError("tol must be positive: the truncation point diverges")
         n = params.N

@@ -220,6 +220,10 @@ def test_overflowing_sequence_is_config_error(capsys):
         capsys, "variance", "--seq", "lacunary:base=2", "--schedule", "n=256",
     )
     assert code == 2 and "config error" in err
+    code, _, err = run_cli(
+        capsys, "variance", "--seq", "lacunary:base=2", "--schedule", "n=20000",
+    )
+    assert code == 2 and "exact-dilation bound 2**62" in err and len(err) < 200
 
 
 def test_installed_entry_point_smoke():

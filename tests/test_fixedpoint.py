@@ -3,16 +3,21 @@
 Everything downstream leans on three properties checked here: floats in
 [0, 1) embed into the grid without rounding, integer scaling reduces
 mod 1 with no precision loss, and the hex serialization round-trips
-bit for bit.
+bit for bit.  The uint64 word operations are checked property by
+property against plain Python integers mod 2**128.
 """
 
+import bisect
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from numvar import FixedPointReal, FRACTION_BITS
+from numvar import fixedpoint as fp
 from numvar.fixedpoint import MODULUS
 
 
@@ -172,3 +177,115 @@ def test_as_fraction_exact():
     assert FixedPointReal(1 << 126).as_fraction() == Fraction(1, 4)
     k = (MODULUS - 1) // 3
     assert FixedPointReal(k).as_fraction() == Fraction(k, MODULUS)
+
+
+# ---------------------------------------------------------------------------
+# word arrays, against Python ints mod 2**128
+# ---------------------------------------------------------------------------
+
+# derandomized and bounded, so every run checks the same examples
+words_settings = settings(derandomize=True, max_examples=150, deadline=None, database=None)
+
+TOP = (1 << 62) - 1
+M64 = (1 << 64) - 1
+numerators = st.integers(0, MODULUS - 1) | st.sampled_from(
+    [0, 1, M64, 1 << 64, MODULUS - 1, MODULUS - (1 << 64), (M64 << 64) | 1]
+)
+terms = st.integers(-TOP, TOP) | st.sampled_from([0, 1, -1, TOP, -TOP, 1 << 32, -(1 << 32)])
+
+
+def joined(hi, lo):
+    return [fp.join(h, l) for h, l in zip(hi, lo)]
+
+
+@words_settings
+@given(numerators, st.integers(-(1 << 130), 1 << 130))
+def test_split_join_round_trip(num, k):
+    hi, lo = fp.split(num)
+    assert 0 <= hi <= M64 and 0 <= lo <= M64
+    assert fp.join(hi, lo) == num
+    assert fp.join(*fp.split(k)) == k % MODULUS
+    assert joined(*fp.to_words([k, num])) == [k % MODULUS, num]
+
+
+@words_settings
+@given(numerators, st.lists(terms, min_size=1, max_size=8))
+@example(MODULUS - 1, [1, -1, TOP, -TOP])  # product words hi = 2**64 - 1 and 0
+@example((M64 << 64) | M64, [TOP, -TOP, 2])
+@example(1 << 64, [-(1 << 32), -1])
+def test_mul_words_matches_bigint(num, values):
+    hi, lo = fp.mul_words(num, np.array(values, dtype=np.int64))
+    assert hi.dtype == lo.dtype == np.uint64
+    assert joined(hi, lo) == [(num * a) % MODULUS for a in values]
+
+
+@words_settings
+@given(st.lists(numerators, min_size=1, max_size=8), st.integers(-(1 << 129), 1 << 129))
+@example([M64, (5 << 64) | M64], 1)  # carry out of the low word
+@example([1 << 64, 7 << 64], -1)  # borrow into the high word
+@example([MODULUS - 1, 0], 1)  # wrap through 2**128
+@example([0, 3], -(MODULUS - 1) - 4)
+def test_add_words_matches_bigint(nums, k):
+    hi, lo = fp.to_words(nums)
+    assert joined(*fp.add_words(hi, lo, k)) == [(v + k) % MODULUS for v in nums]
+
+
+@words_settings
+@given(st.lists(st.tuples(numerators, numerators), min_size=1, max_size=8))
+@example([((3 << 64) | 5, (3 << 64) | 6), ((3 << 64) | 6, (3 << 64) | 5), (7, 7)])
+def test_less_words_matches_bigint(pairs):
+    a_hi, a_lo = fp.to_words([a for a, _ in pairs])
+    b_hi, b_lo = fp.to_words([b for _, b in pairs])
+    assert list(fp.less_words(a_hi, a_lo, b_hi, b_lo)) == [a < b for a, b in pairs]
+
+
+# few distinct high words, so runs of equal high words (the tie path) are common
+clustered = st.builds(
+    lambda h, l: (h << 64) | l, st.sampled_from([0, 1, 2, M64]), st.integers(0, M64)
+) | numerators
+
+
+@words_settings
+@given(st.lists(clustered, min_size=1, max_size=20), st.lists(clustered, min_size=1, max_size=10))
+def test_rank_and_sort_words_match_bisect(nums, queries):
+    hi, lo = fp.to_words(nums)
+    order = fp.argsort_words(hi, lo)
+    assert joined(hi[order], lo[order]) == sorted(nums)
+    pts = sorted(nums)
+    q_hi, q_lo = fp.to_words(queries + pts)
+    rank = fp.rank_words(hi[order], lo[order], q_hi, q_lo)
+    assert list(rank) == [bisect.bisect_left(pts, q) for q in queries + pts]
+
+
+@words_settings
+@given(st.lists(numerators, min_size=1, max_size=8))
+def test_to_floats_keeps_top_bits(nums):
+    x = fp.to_floats(*fp.to_words(nums))
+    for xi, v in zip(x, nums):
+        assert abs(Fraction(float(xi)) - Fraction(v, MODULUS)) <= Fraction(1, 1 << 53)
+
+
+@words_settings
+@given(
+    st.lists(st.integers(0, fp.PHASE_N_BOUND - 1), min_size=1, max_size=6),
+    st.lists(numerators, min_size=1, max_size=6),
+)
+@example([fp.PHASE_N_BOUND - 1, 1], [MODULUS - 1, M64])
+def test_phase_top_bits_within_two_to_minus_64(ns, nums):
+    u_hi, u_lo = fp.to_words(nums)
+    theta = fp.phase_top_bits(np.array(ns, dtype=np.uint64), u_hi, u_lo)
+    for i, n in enumerate(ns):
+        for j, u in enumerate(nums):
+            exact = (n * u) % MODULUS
+            # the top word is exact; only the conversion to float64 rounds
+            assert theta[i, j] == math.ldexp(float(exact >> 64), -64)
+            err = abs(Fraction(float(theta[i, j])) - Fraction(exact, MODULUS))
+            assert err < Fraction(1, 1 << 64) + Fraction(1, 1 << 54)
+
+
+def test_phase_top_bits_rejects_large_n():
+    u_hi, u_lo = fp.to_words([(MODULUS - 1) // 3])
+    with pytest.raises(ValueError, match="2\\*\\*32"):
+        fp.phase_top_bits(np.array([(1 << 40) + 3], dtype=np.uint64), u_hi, u_lo)
+    with pytest.raises(ValueError):
+        fp.phase_top_bits(np.array([1, fp.PHASE_N_BOUND], dtype=np.uint64), u_hi, u_lo)

@@ -132,6 +132,10 @@ def test_config_file_errors(tmp_path):
     no_eq.write_text("just some words\n", encoding="utf-8")
     with pytest.raises(ConfigError, match=r"b\.cfg:1"):
         load_config_file(str(no_eq))
+    eps = tmp_path / "c.cfg"
+    eps.write_text("seq = monomial:d=2\nepsilon = 0.1\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"c\.cfg:2: unknown key 'epsilon'"):
+        load_config_file(str(eps))
 
 
 def test_config_from_mapping_errors():
@@ -197,6 +201,11 @@ def test_csv_round_trip_and_line_endings():
     text = rows_to_csv(rows)
     assert text.count("\r\n") == len(rows) + 1
     assert rows_from_csv(text) == rows
+
+
+def test_table_to_csv_formats_fields():
+    text = harness.table_to_csv(("a", "b", "c"), [(1, 0.1, "x,y"), (2, 1e-300, "z")])
+    assert text == 'a,b,c\r\n1,0.1,"x,y"\r\n2,1e-300,z\r\n'
 
 
 def test_csv_header_checked():

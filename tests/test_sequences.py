@@ -9,6 +9,8 @@ carry (permutation invariance, the three-distance theorem).
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 from numvar import (
@@ -67,6 +69,25 @@ def test_term_magnitude_budget():
         IntegerSequence(terms=np.array([0, TERM_BOUND]), spec=SequenceSpec.monomial(1))
 
 
+def test_term_bound_checked_before_building_terms():
+    # lacunary stops at the first term >= 2**62 and names the bound, not
+    # the term: formatting 2**20000 would itself fail on Python >= 3.11
+    with pytest.raises(OverflowError, match=r"2\*\*62 reaches the exact-dilation bound 2\*\*62$"):
+        generate_sequence(SequenceSpec.lacunary(2), 20000)
+    # monomials: one analytic check on the largest |n + offset|
+    with pytest.raises(OverflowError, match=r"2\*\*1000000 reaches"):
+        generate_sequence(SequenceSpec.monomial(1000000), 2)
+    edge = 2**31 - 1  # edge**2 < 2**62 <= (edge + 1)**2
+    assert list(generate_sequence(SequenceSpec.monomial(2, offset=edge - 1), 1)) == [edge**2]
+    with pytest.raises(OverflowError):
+        generate_sequence(SequenceSpec.monomial(2, offset=edge), 1)
+    with pytest.raises(OverflowError):
+        generate_sequence(SequenceSpec.monomial(2, offset=-edge - 2), 2)
+    # int64 powers equal the Python-int powers, negative bases included
+    seq = generate_sequence(SequenceSpec.monomial(3, offset=-700), 1400)
+    assert list(seq) == [(n - 700) ** 3 for n in range(1, 1401)]
+
+
 def test_integer_sequence_distinctness_enforced():
     with pytest.raises(DuplicateError):
         IntegerSequence(terms=np.array([5, 5]), spec=SequenceSpec.monomial(1))
@@ -90,6 +111,12 @@ def test_spec_parse_round_trips():
         SequenceSpec.parse("monomial:d")
     with pytest.raises(ValueError):
         SequenceSpec.parse("fibonacci:d=2")
+    for text, key in (
+        ("monomial:d=2,degre=5,ofset=3", "degre"),
+        ("lacunary:base=3,d=7", "d"),
+    ):
+        with pytest.raises(ValueError, match="unknown .* option '%s'" % key):
+            SequenceSpec.parse(text)
 
 
 def test_labels_are_stable_and_distinct():
@@ -221,6 +248,19 @@ def test_point_set_from_floats_and_shift():
     half = FixedPointReal.from_float(0.5)
     back = pts.shifted(half).shifted(half)
     assert [back.numerator(i) for i in range(3)] == [pts.numerator(i) for i in range(3)]
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(
+    st.lists(st.integers(0, MODULUS - 1), min_size=1, max_size=12),
+    st.integers(0, MODULUS - 1) | st.sampled_from([1, MODULUS - 1, 1 << 64]),
+)
+def test_point_set_shift_matches_bigint(nums, offset):
+    pts = PointSet.from_numerators(nums)
+    moved = pts.shifted(FixedPointReal(offset))
+    want = [(pts.numerator(i) + offset) % MODULUS for i in range(len(pts))]
+    assert [moved.numerator(i) for i in range(len(moved))] == sorted(want)
+    assert [want[j] for j in moved.source_index] == sorted(want)
 
 
 def test_point_set_needs_points():

@@ -516,6 +516,11 @@ def test_fourier_budget_errors():
         pair_correlation_fourier(seq, alpha, params, 0.0)
     with pytest.raises(BudgetError):
         pair_correlation_fourier(seq, alpha, params, -1.0)
+    # M ~ 5e14 is under max_terms but beyond the exact phase range n < 2**32
+    with pytest.raises(BudgetError, match="ceiling 4294967295"):
+        pair_correlation_fourier(seq, alpha, params, 1e-12, max_terms=10**15)
+    with pytest.raises(BudgetError, match="ceiling 4294967295"):
+        number_variance_fourier(seq, alpha, params, 1e-12, max_terms=10**15)
 
 
 def test_fourier_rejects_mismatched_params():
