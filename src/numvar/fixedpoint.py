@@ -19,14 +19,14 @@ Bulk points are stored as two parallel uint64 arrays of words (hi, lo),
 numerator = hi * 2**64 + lo.  The module-level word functions below are
 the only code that knows this layout: splitting and joining numerators,
 the dilation multiply, addition mod 2**128, comparison, rank queries,
-sorting, and phases.  All of them are exact.
+sorting, exact dot products, and phases.  All of them are exact.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Tuple
+from typing import Iterable, List, Tuple
 
 import numpy as np
 
@@ -160,11 +160,6 @@ def to_words(numerators: Iterable[int]) -> Tuple[np.ndarray, np.ndarray]:
     return hi, lo
 
 
-def to_floats(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
-    """float64 view of each numerator / 2**128: the top ~53 bits, may round to 1.0."""
-    return hi.astype(np.float64) * 2.0**-64 + lo.astype(np.float64) * 2.0**-128
-
-
 def mul_words(numerator: int, terms: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """(numerator * a) mod 2**128 for every int64 term a, as (hi, lo) words.
 
@@ -208,12 +203,18 @@ def mul_words(numerator: int, terms: np.ndarray) -> Tuple[np.ndarray, np.ndarray
     return np.where(neg, hi_n, hi), np.where(neg, lo_n, lo)
 
 
-def add_words(hi: np.ndarray, lo: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
-    """(hi, lo) + k mod 2**128 for every word pair; a negative k subtracts."""
-    k_hi, k_lo = split(k)
-    out_lo = lo + _U64(k_lo)
+def add_words(hi: np.ndarray, lo: np.ndarray, k) -> Tuple[np.ndarray, np.ndarray]:
+    """(hi, lo) + k mod 2**128 for every word pair; a negative k subtracts.
+
+    k is an int, or a list of m ints giving one row of sums per k.
+    """
+    rows = isinstance(k, list)
+    k_hi, k_lo = to_words(k if rows else [k])
+    if rows:
+        k_hi, k_lo = k_hi[:, None], k_lo[:, None]
+    out_lo = lo + k_lo
     carry = (out_lo < lo).astype(np.uint64)
-    return hi + _U64(k_hi) + carry, out_lo
+    return hi + k_hi + carry, out_lo
 
 
 def less_words(a_hi, a_lo, b_hi, b_lo) -> np.ndarray:
@@ -222,31 +223,73 @@ def less_words(a_hi, a_lo, b_hi, b_lo) -> np.ndarray:
 
 
 def argsort_words(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
-    """Stable permutation sorting the numerators ascending."""
-    return np.lexsort((lo, hi))
+    """Stable permutation sorting the numerators ascending: np.lexsort((lo, hi)).
+
+    A stable sort on the high words, then only the runs of equal high
+    words are re-sorted, stably, by their low words.  Runs are absent
+    for generic alpha and routine for small rational alpha.
+    """
+    order = np.argsort(hi, kind="stable")
+    s_hi = hi[order]
+    tied = np.flatnonzero(s_hi[1:] == s_hi[:-1])
+    if tied.size:
+        pos = np.union1d(tied, tied + 1)
+        sub = order[pos]
+        order[pos] = sub[np.lexsort((lo[sub], hi[sub]))]
+    return order
 
 
 def rank_words(pts_hi, pts_lo, q_hi, q_lo) -> np.ndarray:
     """#sorted points strictly below each query numerator, vectorized.
 
-    Two-level: searchsorted on the high words settles everything except
-    queries landing inside a run of equal high words; those runs are
-    resolved by grouped searchsorted on the low words.  Runs are rare
-    for generic alpha but routine for small rational alpha.
+    searchsorted on the high words settles every query except those
+    whose high word occurs among the points; those finish with a
+    vectorised binary search over the low words of their run of equal
+    high words, one pass per bit of the longest run.
     """
-    a = np.searchsorted(pts_hi, q_hi, side="left")
-    b = np.searchsorted(pts_hi, q_hi, side="right")
-    rank = a.astype(np.int64)
-    tie = b > a
-    if np.any(tie):
-        idx = np.flatnonzero(tie)
-        blocks = a[idx]
-        for start in np.unique(blocks):
-            members = idx[blocks == start]
-            end = b[members[0]]
-            sub = pts_lo[start:end]
-            rank[members] += np.searchsorted(sub, q_lo[members], side="left")
+    rank = np.searchsorted(pts_hi, q_hi, side="left").astype(np.int64, copy=False)
+    tie = np.flatnonzero(pts_hi[np.minimum(rank, pts_hi.size - 1)] == q_hi)
+    if tie.size:
+        first = rank[tie]
+        last = np.searchsorted(pts_hi, q_hi[tie], side="right").astype(np.int64, copy=False)
+        key = q_lo[tie]
+        while True:
+            live = first < last
+            if not live.any():
+                break
+            mid = (first + last) >> 1
+            below = live & (pts_lo[np.minimum(mid, pts_lo.size - 1)] < key)
+            first = np.where(below, mid + 1, first)
+            last = np.where(live & ~below, mid, last)
+        rank[tie] = first
     return rank
+
+
+def dot_words(c: np.ndarray, words: np.ndarray) -> List[int]:
+    """Exact sum_i c[j, i] * number_i for each row j of c, as Python ints.
+
+    c is (m, n) int64 >= 0; words is (k, n), the numbers' k uint64 words,
+    most significant first.  The words split into limbs narrow enough
+    that no uint64 dot product with c can overflow: limb bits +
+    bits(max c) + bits(n) <= 64.
+    """
+    c = c.view(np.uint64)
+    bits = max(1, 64 - int(c.max()).bit_length() - c.shape[-1].bit_length())
+    mask = _U64((1 << bits) - 1)
+    sums = [0] * c.shape[0]
+    for shift in range(0, 64, bits):
+        part = (((words >> _U64(shift)) & mask) @ c.T).tolist()
+        for t, row in enumerate(part):
+            place = shift + 64 * (len(part) - 1 - t)
+            sums = [s + (v << place) for s, v in zip(sums, row)]
+    return sums
+
+
+def tie_starts(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """rank_words(hi, lo, hi, lo) for sorted words, in O(n): each value's first index."""
+    new = np.ones(hi.size, dtype=bool)
+    new[1:] = (hi[1:] != hi[:-1]) | (lo[1:] != lo[:-1])
+    return np.maximum.accumulate(np.where(new, np.arange(hi.size), 0))
 
 
 def phase_top_bits(nn: np.ndarray, u_hi: np.ndarray, u_lo: np.ndarray) -> np.ndarray:

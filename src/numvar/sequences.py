@@ -5,8 +5,7 @@ an explicit list), generate_sequence materializes the first N terms as
 int64, and dilate_mod1 maps each term a to the circle point
 frac(alpha * a) computed exactly on the 128-bit dyadic grid.  The
 resulting PointSet keeps the exact numerators (as two uint64 words per
-point, sorted), a float64 view for O(N log N) scan algorithms, and the
-permutation back to sequence order.
+point, sorted) and the permutation back to sequence order.
 
 Exactness of the bulk dilation is the load-bearing property: at N near
 1e5 and terms near 2**34, float64 reduction of a*alpha mod 1 would lose
@@ -31,7 +30,6 @@ from .fixedpoint import (
     argsort_words,
     join,
     mul_words,
-    to_floats,
     to_words,
 )
 
@@ -72,6 +70,11 @@ class SequenceSpec:
             raise ValueError("monomial degree must be >= 1")
         if self.kind == "lacunary" and self.base < 2:
             raise ValueError("lacunary base must be >= 2")
+        if self.kind == "lacunary" and self.offset < -1:
+            raise ValueError(
+                "lacunary offset %d gives the fractional term base**%d; need offset >= -1"
+                % (self.offset, 1 + self.offset)
+            )
         if self.kind == "custom" and not self.values:
             raise ValueError("custom spec needs a nonempty value tuple")
 
@@ -153,7 +156,8 @@ class IntegerSequence:
                 "sequence term magnitude reaches the exact-dilation bound 2**%d"
                 % TERM_BITS
             )
-        if np.unique(t).size != t.size:
+        s = np.sort(t)
+        if np.any(s[1:] == s[:-1]):
             raise DuplicateError("sequence terms are not distinct")
 
     def __len__(self) -> int:
@@ -230,12 +234,12 @@ def load_sequence_file(path: str | os.PathLike) -> SequenceSpec:
 class PointSet:
     """Sorted exact points frac(alpha * a_j) on the unit circle.
 
-    Stores the 128-bit numerators as parallel uint64 arrays (hi, lo),
-    a float64 view (top 53 bits, nondecreasing), and source_index such
-    that point i came from sequence position source_index[i].
+    Stores the 128-bit numerators as parallel uint64 arrays (hi, lo)
+    and source_index such that point i came from sequence position
+    source_index[i].
     """
 
-    __slots__ = ("hi", "lo", "x", "source_index", "alpha", "sequence")
+    __slots__ = ("hi", "lo", "source_index", "alpha", "sequence")
 
     def __init__(self, hi, lo, source_index, alpha, sequence):
         self.hi = hi
@@ -243,7 +247,6 @@ class PointSet:
         self.source_index = source_index
         self.alpha = alpha
         self.sequence = sequence
-        self.x = to_floats(hi, lo)
 
     def __len__(self) -> int:
         return int(self.hi.size)

@@ -8,8 +8,8 @@ ell = L/N, and a test function f:
   pair corr R2   = (1/N) * sum over ordered pairs i != j and integer
                    shifts m of f((x_i - x_j + m) / ell)
 
-The variance is computed by three independent routes: an exact tent-sum
-scan over near pairs (number_variance_exact), random-center counting
+The variance is computed by three independent routes: an exact tent
+sum over all pairs (number_variance_exact), random-center counting
 with exact interval membership (number_variance_montecarlo), and a
 truncated spectral sum (number_variance_fourier).  They are tied
 together by the identity
@@ -20,8 +20,14 @@ which doubles as the module's master self-test.
 
 Counting conventions: windows are half-open [c - ell/2, c + ell/2), and
 membership is decided on exact 128-bit numerators, never on floats.
-The scan routes work on the float64 shadow of the points, which is
-accurate to ~2^-53 and only ever feeds smooth/bounded test functions.
+The pair sums (number_variance_exact, pair_correlation_direct) share one
+kernel: every tent, indicator or tabulated f is piecewise linear, so a
+row's sum over each piece is a count plus a first moment over a window
+of the sorted, unrolled circle, read off exact rank queries, prefix
+sums of rank counts and one exact integer dot product with the
+numerators.  It costs O(N log N) per knot of f whatever ell and the
+support radius are, and its result is exact until the one final
+rounding to float.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 from numpy.random import Philox
@@ -40,10 +46,12 @@ from .fixedpoint import (
     PHASE_N_BOUND,
     FixedPointReal,
     add_words,
+    dot_words,
     less_words,
     mul_words,
     phase_top_bits,
     rank_words,
+    tie_starts,
     to_words,
 )
 from .sequences import IntegerSequence, PointSet
@@ -53,8 +61,7 @@ _CENTER_STREAM = 0x63656E74  # Philox counter tag for window centers
 # Ceiling on spectral-sum terms; BudgetError above this (raise tol instead).
 FOURIER_TERM_CEILING = 10**9
 
-# Chunk sizes, fixed constants so reductions are order-deterministic.
-_PAIR_CHUNK = 1 << 22
+# Chunk size, a fixed constant so reductions are order-deterministic.
 _PHASE_CHUNK_ENTRIES = 1 << 21
 
 
@@ -143,7 +150,8 @@ class TestFunction:
     kind is "tent" (support radius 1), "indicator" (the half-open
     interval [-1/2, 1/2), radius 1/2), or "custom" (a tabulated function
     with a declared support radius; evaluated by linear interpolation,
-    zero outside the table).
+    zero outside the table; the pair sums also take it as zero outside
+    [-radius, radius]).
     """
 
     __test__ = False  # keep pytest from collecting this as a test case
@@ -240,55 +248,128 @@ def count_in_interval(points: PointSet, center: FixedPointReal, params: WindowPa
 
 
 # ---------------------------------------------------------------------------
-# near-pair scan
+# exact pair sums
 # ---------------------------------------------------------------------------
 
-def _ragged_arange(lens):
-    total = int(lens.sum())
-    shift = np.repeat(np.cumsum(lens) - lens, lens)
-    return np.arange(total, dtype=np.int64) - shift
+def _linear_pieces(f: TestFunction):
+    """f as exact linear pieces (a, b, closed, c0, c1) of Fractions.
 
-
-def _iter_near_pairs(y: np.ndarray, radius: float) -> Iterator[np.ndarray]:
-    """Forward circular distances d <= radius, one entry per directed gather.
-
-    y must be sorted ascending in [0, 1).  Each unordered pair {p, q}
-    with forward distance d (from the earlier to the later point) is
-    yielded once when d <= radius, and again as 1 - d when the opposite
-    orientation is also within radius.  Consumers that add f(+d/ell) +
-    f(-d/ell) per entry therefore reproduce the full ordered double sum
-    with all integer shifts, for any radius <= 1 and any f vanishing
-    outside [-radius/ell, radius/ell] (closed support).
-
-    The gather bound is inflated by a few ulps so exact-boundary pairs
-    are never dropped; over-gathered entries are harmless since f is
-    zero beyond its closed support.
+    On a piece f(t) = c0 + c1 * t for a <= t < b, or for a <= t <= b
+    when closed.  Pieces are disjoint and f is zero off them.  A custom
+    table is cut to its declared support [-radius, radius]; its
+    interpolation is continuous at interior knots.
     """
-    n = y.size
-    if n < 2:
-        return
-    ext = np.concatenate([y, y + 1.0])
-    slack = radius * (1.0 + 2.0**-50) + 2.0**-50
-    upper = np.searchsorted(ext, y + slack, side="right")
-    starts = np.arange(1, n + 1, dtype=np.int64)
-    lens = upper - starts
-    cum = np.cumsum(lens)
-    total = int(cum[-1])
-    if total == 0:
-        return
-    # split [0, n) into row blocks of at most _PAIR_CHUNK pairs each
-    edges = np.searchsorted(cum, np.arange(_PAIR_CHUNK, total, _PAIR_CHUNK), side="left") + 1
-    bounds = np.concatenate([[0], edges, [n]])
-    for i0, i1 in zip(bounds[:-1], bounds[1:]):
-        if i0 >= i1:
-            continue
-        ln = lens[i0:i1]
-        tot = int(ln.sum())
-        if tot == 0:
-            continue
-        j = np.repeat(starts[i0:i1], ln) + _ragged_arange(ln)
-        d = ext[j] - np.repeat(y[i0:i1], ln)
-        yield d
+    if f.kind != "custom":
+        return _TENT_PIECES if f.kind == "tent" else _INDICATOR_PIECES
+    xs = [Fraction(v) for v in f.xs]
+    ys = [Fraction(v) for v in f.values]
+    lo = max(xs[0], -Fraction(f.radius))
+    hi = min(xs[-1], Fraction(f.radius))
+    if lo == hi:  # the support meets the table at one of its ends
+        return [(lo, hi, True, ys[0] if lo == xs[0] else ys[-1], Fraction(0))]
+    pieces = []
+    for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:]):
+        a, b = max(x0, lo), min(x1, hi)
+        if a < b:
+            slope = (y1 - y0) / (x1 - x0)
+            pieces.append((a, b, b == hi, y0 - slope * x0, slope))
+    return pieces
+
+
+_TENT_PIECES = [(Fraction(-1), Fraction(0), False, Fraction(1), Fraction(1)),
+                (Fraction(0), Fraction(1), True, Fraction(1), Fraction(-1))]
+_INDICATOR_PIECES = [(Fraction(-1, 2), Fraction(1, 2), False, Fraction(1), Fraction(0))]
+
+
+def _pair_sum(points: PointSet, ell: float, f: TestFunction) -> Fraction:
+    """Exact sum over ordered pairs i != j and shifts m of f((x_j - x_i + m)/ell).
+
+    Row i sees the unrolled circle P(k) = p_(k mod N) + floor(k/N) * 2**128
+    (p the sorted numerators), and each linear piece of f is a count plus
+    a first moment of P(k) - p_i over a window of k.  A window end p_i + e,
+    with e the exact dyadic image of knot * ell rounded to the piece's
+    closed or open edge, sits at index K = q*N + r, r = rank(frac), of the
+    unrolled circle, so any support radius is exact.  With T = sum_j p_j,
+
+        sum_{k<K} P(k) = q*T + sum_{j<r} p_j + 2**128 * (N*q*(q-1)/2 + r*q),
+
+    and summed over rows the prefix sums become sum_j p_j * #{i : r_i > j},
+    a prefix sum of rank counts.  Those counts and the window counts c_i
+    (for the correction sum_i c_i * p_i) meet the numerators in one exact
+    dot product; self pairs (i, i, m) are taken out per piece.  All knots
+    of f go through each step together: O(N log N) per knot, independent
+    of ell, for fewer than 2**31 points.
+    """
+    n = len(points)
+    hi, lo = points.hi, points.lo
+    scale = Fraction(ell) * MODULUS  # t = d / scale for a numerator difference d
+    pieces = _linear_pieces(f)
+    ends = [(math.ceil(a * scale), math.floor(b * scale) + 1 if closed else math.ceil(b * scale))
+            for a, b, closed, _, _ in pieces]
+    knots = sorted({e for end in ends for e in end})
+    if not knots:
+        return Fraction(0)
+    # pair counts and unrolled indices must stay within int64
+    if (max(abs(e) for e in knots) // MODULUS + 2) * n * n >= 1 << 62:
+        raise SupportError("support radius %g too wide for %d points" % (f.radius, n))
+    m = len(knots)
+    turns0 = [e // MODULUS for e in knots]
+    offsets = [e % MODULUS for e in knots]
+    moved = [i for i, e in enumerate(offsets) if e]
+    # rank of p_i + e mod 2**128 and its wrap (q = turns0 + wrap); offsets
+    # 0 rank the points themselves.  Rows are N long, so temporaries go early.
+    r = np.empty((m, n), dtype=np.int64)
+    wrap = np.zeros((m, n), dtype=bool)
+    v_hi, v_lo = add_words(hi, lo, [offsets[i] for i in moved])
+    wrap[moved] = less_words(v_hi, v_lo, hi, lo)
+    r[moved] = rank_words(hi, lo, v_hi.ravel(), v_lo.ravel()).reshape(-1, n)
+    del v_hi, v_lo
+    r[[i for i, e in enumerate(offsets) if not e]] = tie_starts(hi, lo)
+    row_sums = list(zip(turns0, wrap.sum(axis=1).tolist(), r.sum(axis=1).tolist(),
+                        (r * wrap).sum(axis=1).tolist()))
+    k_index = wrap.astype(np.int64)
+    del wrap
+    k_index += np.array(turns0)[:, None]
+    k_index *= n
+    k_index += r
+
+    # weights for one exact dot with the numerators: 1 (for T), per knot
+    # #{i : r_i > j}, per piece the window counts c_i
+    slot = {e: i for i, e in enumerate(knots)}
+    lower = [slot[e0] for e0, _ in ends]
+    upper = [slot[e1] for _, e1 in ends]
+    weights = np.empty((1 + m + len(ends), n), dtype=np.int64)
+    weights[0] = 1
+    counts = weights[1 + m:]
+    np.subtract(k_index[upper], k_index[lower], out=counts)
+    del k_index
+    r += (n + 1) * np.arange(m)[:, None]
+    hist = np.bincount(r.ravel(), minlength=m * (n + 1)).reshape(m, n + 1)
+    del r
+    beyond = weights[1:1 + m]
+    np.cumsum(hist[:, :n], axis=1, out=beyond)
+    del hist
+    np.subtract(n, beyond, out=beyond)
+    total_p, *sums = dot_words(weights, np.stack([hi, lo]))
+    prefix_sums, weighted = sums[:m], sums[m:]
+
+    moments = []  # sum_i sum_{k < K_i} P(k), per knot
+    for (q, wraps, r_sum, r_wrap), prefix in zip(row_sums, prefix_sums):
+        turns = n * (n * q * (q - 1) // 2 + wraps * q) + q * r_sum + r_wrap
+        moments.append((n * q + wraps) * total_p + prefix + (turns << 128))
+    # sum over pieces of c0 * count + c1 * moment / scale, over one denominator
+    den = math.lcm(*(c.denominator for piece in pieces for c in piece[3:]))
+    total = 0
+    for (_, _, _, c0, c1), (e0, e1), i0, i1, count, correction in zip(
+        pieces, ends, lower, upper, counts.sum(axis=1).tolist(), weighted,
+    ):
+        moment = moments[i1] - moments[i0] - correction
+        for shift in range(-(-e0 // MODULUS), -(-e1 // MODULUS)):
+            count -= n
+            moment -= n * shift * MODULUS
+        total += (c0 * den).numerator * count * scale.numerator
+        total += (c1 * den).numerator * moment * scale.denominator
+    return Fraction(total, den * scale.numerator)
 
 
 # ---------------------------------------------------------------------------
@@ -306,22 +387,18 @@ def _check_points(points: PointSet, params: WindowParams) -> None:
 def number_variance_exact(points: PointSet, params: WindowParams) -> VarianceResult:
     """Variance of the window count, by exact tent summation.
 
-    Uses variance = ell * sum_{i,j,m} tent((x_i - x_j + m)/ell) - L^2.
-    The diagonal contributes exactly L; off-diagonal terms vanish unless
-    the circular distance is below ell, so a windowed scan over the
-    sorted circle costs O(N log N + #near pairs).
+    Uses variance = ell * sum_{i,j,m} tent((x_i - x_j + m)/ell) - L^2,
+    whose diagonal contributes exactly L.  The off-diagonal tent sum is
+    taken exactly on the 128-bit numerators by the prefix-sum kernel
+    (O(N log N), independent of ell; no float view of the points), and
+    the whole expression, with ell and L as the floats they are, is
+    rounded once: sigma2 is the float nearest its exact value, off by at
+    most half an ulp.
     """
     _check_points(points, params)
-    n = params.N
-    ell = params.ell
-    L = params.L
-    chunk_sums = []
-    for d in _iter_near_pairs(points.x, ell):
-        t = d / ell
-        chunk_sums.append(np.sum(np.maximum(1.0 - np.abs(t), 0.0)))
-    pair_sum = 2.0 * float(np.sum(np.asarray(chunk_sums))) if chunk_sums else 0.0
-    sigma2 = ell * (n + pair_sum) - L * L
-    return VarianceResult(sigma2=sigma2, method="exact_tent", mc_stderr=None, params=params)
+    pair_sum = _pair_sum(points, params.ell, TestFunction.tent())
+    sigma2 = Fraction(params.ell) * (params.N + pair_sum) - Fraction(params.L) ** 2
+    return VarianceResult(sigma2=float(sigma2), method="exact_tent", mc_stderr=None, params=params)
 
 
 def number_variance_montecarlo(
@@ -374,44 +451,16 @@ def pair_correlation_direct(
 ) -> PairCorrResult:
     """(1/N) * sum over ordered pairs i != j, shifts m, of f((x_i-x_j+m)/ell).
 
-    Windowed scan when the scaled support radius R*ell is at most 1/2
-    (or at most 1 for functions vanishing at their support edge, which
-    covers the tent at every admissible ell); otherwise the full O(N^2)
-    double sum over explicit shifts.
+    Exact for every test function and support radius: pair membership is
+    decided on the 128-bit numerators, f is summed piece by piece in
+    exact integers (O(N log N) per knot of f), and r2 is the float
+    nearest the exact sum.
     """
     _check_points(points, params)
     if not (f.radius > 0):
         raise SupportError("test function must declare a positive support radius")
-    ell = params.ell
-    rad = f.radius * ell
-    if rad <= 0.5 or (rad <= 1.0 and f.vanishes_at_support_edge()):
-        chunk_sums = []
-        for d in _iter_near_pairs(points.x, rad):
-            t = d / ell
-            chunk_sums.append(np.sum(f(t) + f(-t)))
-        total = float(np.sum(np.asarray(chunk_sums))) if chunk_sums else 0.0
-    else:
-        total = _pair_sum_bruteforce(points.x, ell, f)
-    return PairCorrResult(r2=total / params.N, method="direct", truncation_bound=None, params=params)
-
-
-def _pair_sum_bruteforce(y: np.ndarray, ell: float, f: TestFunction) -> float:
-    """Full ordered double sum with explicit integer shifts; O(N^2) fallback."""
-    n = y.size
-    m_span = int(math.ceil(f.radius * ell)) + 1
-    rows_per_chunk = max(1, _PAIR_CHUNK // max(n, 1))
-    chunk_sums = []
-    for i0 in range(0, n, rows_per_chunk):
-        i1 = min(i0 + rows_per_chunk, n)
-        diff = y[i0:i1, None] - y[None, :]
-        acc = np.zeros_like(diff)
-        for m in range(-m_span, m_span + 1):
-            acc += f((diff + m) / ell)
-        # remove the diagonal i == j (difference 0, all shifts)
-        idx = np.arange(i0, i1)
-        acc[np.arange(i1 - i0), idx] = 0.0
-        chunk_sums.append(np.sum(acc))
-    return float(np.sum(np.asarray(chunk_sums))) if chunk_sums else 0.0
+    r2 = float(_pair_sum(points, params.ell, f) / params.N)
+    return PairCorrResult(r2=r2, method="direct", truncation_bound=None, params=params)
 
 
 def pair_correlation_fourier(

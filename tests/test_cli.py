@@ -226,6 +226,13 @@ def test_overflowing_sequence_is_config_error(capsys):
     assert code == 2 and "exact-dilation bound 2**62" in err and len(err) < 200
 
 
+def test_lacunary_negative_offset_is_config_error(capsys):
+    code, out, err = run_cli(
+        capsys, "variance", "--seq", "lacunary:base=2,offset=-2", "--schedule", "n=4",
+    )
+    assert code == 2 and "config error" in err and "offset -2" in err and out == ""
+
+
 def test_installed_entry_point_smoke():
     proc = subprocess.run(
         [sys.executable, "-m", "numvar.cli"],

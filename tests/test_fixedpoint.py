@@ -228,6 +228,10 @@ def test_mul_words_matches_bigint(num, values):
 def test_add_words_matches_bigint(nums, k):
     hi, lo = fp.to_words(nums)
     assert joined(*fp.add_words(hi, lo, k)) == [(v + k) % MODULUS for v in nums]
+    # a list of k gives one row of sums per k
+    rows = fp.add_words(hi, lo, [k, -k, 0])
+    assert [joined(h, l) for h, l in zip(*rows)] == [
+        [(v + d) % MODULUS for v in nums] for d in (k, -k, 0)]
 
 
 @words_settings
@@ -239,30 +243,66 @@ def test_less_words_matches_bigint(pairs):
     assert list(fp.less_words(a_hi, a_lo, b_hi, b_lo)) == [a < b for a, b in pairs]
 
 
-# few distinct high words, so runs of equal high words (the tie path) are common
-clustered = st.builds(
-    lambda h, l: (h << 64) | l, st.sampled_from([0, 1, 2, M64]), st.integers(0, M64)
-) | numerators
+# few distinct high words, so runs of equal high words (the tie path) are
+# common, plus a few whole numerators so exact repeats occur too
+clustered = (
+    st.builds(lambda h, l: (h << 64) | l, st.sampled_from([0, 1, 2, M64]), st.integers(0, M64))
+    | st.sampled_from([5, (1 << 64) | 3, (M64 << 64) | M64])
+    | numerators
+)
 
 
 @words_settings
 @given(st.lists(clustered, min_size=1, max_size=20), st.lists(clustered, min_size=1, max_size=10))
+# repeats out of order, and equal high words with different low words
+@example([(2 << 64) | 9, (1 << 64) | 4, (2 << 64) | 1, (1 << 64) | 4, (2 << 64) | 9, 3],
+         [(2 << 64) | 5])
 def test_rank_and_sort_words_match_bisect(nums, queries):
     hi, lo = fp.to_words(nums)
     order = fp.argsort_words(hi, lo)
+    # the same permutation as lexsort, so equal numerators keep input order
+    assert np.array_equal(order, np.lexsort((lo, hi)))
     assert joined(hi[order], lo[order]) == sorted(nums)
     pts = sorted(nums)
     q_hi, q_lo = fp.to_words(queries + pts)
     rank = fp.rank_words(hi[order], lo[order], q_hi, q_lo)
     assert list(rank) == [bisect.bisect_left(pts, q) for q in queries + pts]
+    assert list(fp.tie_starts(hi[order], lo[order])) == [bisect.bisect_left(pts, q) for q in pts]
+
+
+def test_sort_words_rational_alpha_matches_lexsort():
+    # small rational alpha: exact repeats (1/8) and equal high words (1/7, 1/3)
+    terms = np.arange(-500, 1500, dtype=np.int64) * 3
+    for q in (8, 7, 3):
+        hi, lo = fp.mul_words(FixedPointReal.from_fraction(1, q).numerator, terms)
+        assert np.array_equal(fp.argsort_words(hi, lo), np.lexsort((lo, hi)))
+
+
+def test_rank_words_many_tie_blocks():
+    # 1500 runs of equal high words, each queried inside its run
+    rng = np.random.default_rng(3)
+    nums = sorted({(int(h) << 64) | int(l)
+                   for h in rng.integers(0, 1 << 62, 1500)
+                   for l in rng.integers(0, 1 << 63, 3)})
+    hi, lo = fp.to_words(nums)
+    queries = [(v >> 64 << 64) | int(rng.integers(0, 1 << 63)) for v in nums]
+    queries += [v + 1 for v in nums]
+    q_hi, q_lo = fp.to_words(queries)
+    assert np.unique(hi).size >= 1000
+    rank = fp.rank_words(hi, lo, q_hi, q_lo)
+    assert list(rank) == [bisect.bisect_left(nums, q) for q in queries]
 
 
 @words_settings
-@given(st.lists(numerators, min_size=1, max_size=8))
-def test_to_floats_keeps_top_bits(nums):
-    x = fp.to_floats(*fp.to_words(nums))
-    for xi, v in zip(x, nums):
-        assert abs(Fraction(float(xi)) - Fraction(v, MODULUS)) <= Fraction(1, 1 << 53)
+@given(st.lists(st.tuples(st.integers(0, (1 << 62) - 1) | st.sampled_from([0, 1, 1 << 40]),
+                          st.integers(0, (1 << 40) - 1),
+                          numerators), min_size=1, max_size=12))
+@example([((1 << 62) - 1, (1 << 40) - 1, MODULUS - 1), ((1 << 62) - 1, 0, MODULUS - 1)])
+def test_dot_words_matches_bigint(triples):
+    c = np.array([[a for a, _, _ in triples], [b for _, b, _ in triples]], dtype=np.int64)
+    words = np.stack(fp.to_words([v for _, _, v in triples]))
+    assert fp.dot_words(c, words) == [sum(a * v for a, _, v in triples),
+                                      sum(b * v for _, b, v in triples)]
 
 
 @words_settings

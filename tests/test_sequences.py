@@ -24,7 +24,7 @@ from numvar import (
     load_sequence_file,
     sample_alpha,
 )
-from numvar.fixedpoint import MODULUS
+from numvar.fixedpoint import MODULUS, less_words
 from numvar.sequences import TERM_BOUND
 
 
@@ -91,6 +91,19 @@ def test_term_bound_checked_before_building_terms():
 def test_integer_sequence_distinctness_enforced():
     with pytest.raises(DuplicateError):
         IntegerSequence(terms=np.array([5, 5]), spec=SequenceSpec.monomial(1))
+    # repeats that are not neighbours in sequence order
+    with pytest.raises(DuplicateError):
+        IntegerSequence(terms=np.array([7, -3, 2, 9, -3]), spec=SequenceSpec.monomial(1))
+    assert len(IntegerSequence(terms=np.array([7, -3, 2, 9]), spec=SequenceSpec.monomial(1))) == 4
+
+
+def test_lacunary_negative_offset_rejected():
+    # n + offset < 0 would need the fractional term base**(n + offset);
+    # the error names the offset and comes before any term is built
+    for offset in (-2, -3):
+        with pytest.raises(ValueError, match="offset %d" % offset):
+            generate_sequence(SequenceSpec.lacunary(2, offset=offset), 4)
+    assert list(generate_sequence(SequenceSpec.lacunary(2, offset=-1), 4)) == [1, 2, 4, 8]
 
 
 def test_spec_validation():
@@ -238,7 +251,7 @@ def test_point_set_sorted_and_in_range():
     nums = [pts.numerator(i) for i in range(500)]
     assert nums == sorted(nums)
     assert 0 <= nums[0] and nums[-1] < MODULUS
-    assert np.all(np.diff(pts.x) >= 0)
+    assert not np.any(less_words(pts.hi[1:], pts.lo[1:], pts.hi[:-1], pts.lo[:-1]))
     assert pts.source_index.dtype == np.uint32
 
 

@@ -9,7 +9,9 @@ over ordered pairs and explicit integer shifts.  Everything else
 (identity, spectral route, Monte Carlo) must agree with those.
 """
 
+import bisect
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -80,9 +82,14 @@ def sweep_variance_oracle(points: PointSet, params: WindowParams) -> float:
 
 
 def pair_sum_oracle(points: PointSet, params: WindowParams, f) -> float:
-    """(1/N) * sum over ordered pairs i != j and shifts m of f(diff/ell)."""
-    x = points.x
+    """(1/N) * sum over ordered pairs i != j and shifts m of f(diff/ell).
+
+    Differences are exact numerator differences; only the argument of f
+    is rounded to a float.
+    """
     n = len(points)
+    nums = [points.numerator(i) for i in range(n)]
+    scale = Fraction(params.ell) * MODULUS
     total = 0.0
     span = int(math.ceil(f.radius * params.ell)) + 1
     for i in range(n):
@@ -90,8 +97,38 @@ def pair_sum_oracle(points: PointSet, params: WindowParams, f) -> float:
             if i == j:
                 continue
             for m in range(-span, span + 1):
-                total += f((x[i] - x[j] + m) / params.ell)
+                total += f(float((nums[i] - nums[j] + m * MODULUS) / scale))
     return total / n
+
+
+def exact_f(f, t: Fraction) -> Fraction:
+    """f(t) in exact rationals: the tent, the half-open indicator, or the
+    custom table's linear interpolation on [-radius, radius], else 0."""
+    if f.kind == "tent":
+        return max(1 - abs(t), Fraction(0))
+    if f.kind == "indicator":
+        return Fraction(int(Fraction(-1, 2) <= t < Fraction(1, 2)))
+    xs = [Fraction(v) for v in f.xs]
+    ys = [Fraction(v) for v in f.values]
+    if not (max(xs[0], -Fraction(f.radius)) <= t <= min(xs[-1], Fraction(f.radius))):
+        return Fraction(0)
+    k = min(bisect.bisect_right(xs, t), len(xs) - 1)
+    return ys[k - 1] + (ys[k] - ys[k - 1]) * (t - xs[k - 1]) / (xs[k] - xs[k - 1])
+
+
+def exact_pair_sum(points: PointSet, ell: float, f) -> Fraction:
+    """sum over ordered pairs i != j and shifts m of f((x_i - x_j + m)/ell), exactly."""
+    n = len(points)
+    nums = [points.numerator(i) for i in range(n)]
+    scale = Fraction(ell) * MODULUS
+    span = int(math.ceil(f.radius * ell)) + 1
+    total = Fraction(0)
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                for m in range(-span, span + 1):
+                    total += exact_f(f, (nums[i] - nums[j] + m * MODULUS) / scale)
+    return total
 
 
 def random_points(rng, n):
@@ -401,9 +438,9 @@ def test_paircorr_matches_double_loop_oracle():
 
 
 def test_paircorr_wide_window_routes_agree():
-    # ell large enough that radius*ell > 1/2 exercises both the scan
-    # (tent vanishes at its edge) and the brute-force fallback (boxcar
-    # does not); both must match the explicit-shift oracle.
+    # ell large enough that radius*ell > 1/2, for a function vanishing at
+    # its support edge (tent) and one that does not (boxcar); both must
+    # match the explicit-shift oracle.
     rng = np.random.default_rng(404)
     pts = random_points(rng, 10)
     params = WindowParams.from_L(10, 7.0)  # ell = 0.7
@@ -450,6 +487,69 @@ def test_master_identity_on_random_instances():
         r2 = pair_correlation_direct(pts, params, f).r2
         L = params.L
         assert abs(sigma2 - (L - L * L + L * r2)) <= 1e-9 * max(1.0, L * L)
+
+
+# ---------------------------------------------------------------------------
+# exact pair sums, against a Fraction oracle
+# ---------------------------------------------------------------------------
+
+def assert_exact(points: PointSet, params: WindowParams, functions) -> None:
+    """Both kernel routes equal the float nearest the exact oracle value."""
+    ell = Fraction(params.ell)
+    tent_sum = exact_pair_sum(points, params.ell, TestFunction.tent())
+    sigma2 = number_variance_exact(points, params).sigma2
+    assert sigma2 == float(ell * (params.N + tent_sum) - Fraction(params.L) ** 2)
+    for f in functions:
+        want = exact_pair_sum(points, params.ell, f) / params.N
+        assert pair_correlation_direct(points, params, f).r2 == float(want)
+
+
+# discontinuous at both ends of its table: f(-1.5) = 0.5, f(1.5) = 1.25
+STEP_TABLE = TestFunction.custom([-1.5, -0.25, 0.5, 1.5], [0.5, 2.0, 1.0, 1.25], radius=1.5)
+# table wider than its declared support: cut to [-1.2, 1.2], nonzero at the cut
+WIDE_TABLE = TestFunction.custom([-3.0, 0.0, 3.0], [1.0, 3.0, 2.0], radius=1.2)
+ALL_KINDS = (TestFunction.tent(), TestFunction.indicator(), STEP_TABLE, WIDE_TABLE)
+
+
+def test_exact_kernel_random_points_small_windows():
+    rng = np.random.default_rng(4242)
+    for _ in range(6):
+        n = int(rng.integers(2, 30))
+        pts = random_points(rng, n)
+        assert_exact(pts, WindowParams.from_beta(n, float(rng.uniform(0.0, 0.5))), ALL_KINDS)
+
+
+def test_exact_kernel_wide_windows():
+    # ell = 1, ell > 1/2, and radius * ell > 1 for both custom tables
+    rng = np.random.default_rng(5151)
+    for n, L in ((12, 12.0), (9, 6.3), (7, 6.93)):
+        pts = random_points(rng, n)
+        assert_exact(pts, WindowParams.from_L(n, L), ALL_KINDS)
+
+
+def test_exact_kernel_clustered_points():
+    base = FixedPointReal.from_float(0.5).numerator
+    pts = PointSet.from_numerators([base + k * (1 << 70) for k in range(15)] + [7, MODULUS - 3])
+    assert_exact(pts, WindowParams.from_beta(17, 0.45), ALL_KINDS)
+
+
+def test_exact_kernel_dyadic_edges():
+    # points j/8 and ell = 1/4: pair differences land exactly on the knots
+    # t = -1/2, 1/2, -1 and 1, where the closed and half-open edges decide;
+    # the last table meets its support [-1, 1] only at t = -1
+    pts = PointSet.from_floats([j / 8 for j in range(8)] + [1 / 16])
+    touching = TestFunction.custom([-2.0, -1.0], [0.0, 1.0], radius=1.0)
+    assert_exact(pts, WindowParams.from_L(9, 2.25), ALL_KINDS + (touching,))
+
+
+def test_exact_kernel_rational_alpha_ties():
+    # alpha = 1/8 repeats numerators exactly; alpha = 1/7 gives runs of
+    # equal high words whose low words differ
+    seq = generate_sequence(SequenceSpec.monomial(1), 40)
+    for q in (8, 7):
+        pts = dilate_mod1(FixedPointReal.from_fraction(1, q), seq)
+        for params in (WindowParams.from_beta(40, 0.3), WindowParams.from_L(40, 30.0)):
+            assert_exact(pts, params, ALL_KINDS)
 
 
 # ---------------------------------------------------------------------------
