@@ -19,7 +19,8 @@ Bulk points are stored as two parallel uint64 arrays of words (hi, lo),
 numerator = hi * 2**64 + lo.  The module-level word functions below are
 the only code that knows this layout: splitting and joining numerators,
 the dilation multiply, addition mod 2**128, comparison, rank queries,
-sorting, exact dot products, and phases.  All of them are exact.
+sorting, least circular gaps, exact dot products, and phases.  All of them
+are exact.
 """
 
 from __future__ import annotations
@@ -40,6 +41,8 @@ _HEX_DIGITS = FRACTION_BITS // 4
 _M64 = (1 << 64) - 1
 _MASK32 = np.uint64(0xFFFFFFFF)
 _U64 = np.uint64
+# mul_words block: small enough that its limb temporaries stay in cache
+_MUL_BLOCK = 1 << 14
 
 
 class FixedPointReal:
@@ -161,16 +164,26 @@ def to_words(numerators: Iterable[int]) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def mul_words(numerator: int, terms: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(numerator * a) mod 2**128 for every int64 term a, as (hi, lo) words.
+    """(numerator * a) mod 2**128 for each int64 term a (1-d), as (hi, lo) words.
 
     Everything runs in uint64 with 32-bit limbs.  A partial product
     A_i * b_j is < 2**64; the per-column accumulators only ever sum a
     handful of values < 2**32 plus a small carry, so no intermediate
     overflows.  Negative terms are handled by multiplying |a| and then
-    negating mod 2**128.
+    negating mod 2**128.  The terms go through in fixed blocks written
+    into the preallocated words, so the limb temporaries stay small.
     """
     numerator %= MODULUS
     limbs = [_U64((numerator >> (32 * k)) & 0xFFFFFFFF) for k in range(4)]
+    hi = np.empty(terms.shape, dtype=np.uint64)
+    lo = np.empty(terms.shape, dtype=np.uint64)
+    for start in range(0, terms.size, _MUL_BLOCK):
+        block = slice(start, start + _MUL_BLOCK)
+        hi[block], lo[block] = _mul_block(limbs, terms[block])
+    return hi, lo
+
+
+def _mul_block(limbs, terms: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     neg = terms < 0
     mag = np.abs(terms).astype(np.uint64)
     b0 = mag & _MASK32
@@ -237,6 +250,25 @@ def argsort_words(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
         sub = order[pos]
         order[pos] = sub[np.lexsort((lo[sub], hi[sub]))]
     return order
+
+
+def min_gap_words(hi: np.ndarray, lo: np.ndarray) -> int:
+    """Least circular gap between the numerators on the circle, as a Python int.
+
+    The gaps are those between neighbours in sorted order plus the
+    wrap-around gap p_0 + 2**128 - p_(n-1).  Equal numerators give 0; a
+    single numerator gives 2**128.
+    """
+    order = argsort_words(hi, lo)
+    s_hi, s_lo = hi[order], lo[order]
+    wrap = join(s_hi[0], s_lo[0]) + MODULUS - join(s_hi[-1], s_lo[-1])
+    if hi.size == 1:
+        return wrap
+    # neighbours are sorted, so every difference is >= 0 and needs one borrow
+    d_lo = s_lo[1:] - s_lo[:-1]
+    d_hi = s_hi[1:] - s_hi[:-1] - (s_lo[1:] < s_lo[:-1]).astype(np.uint64)
+    least = d_hi.min()
+    return min(join(least, d_lo[d_hi == least].min()), wrap)
 
 
 def rank_words(pts_hi, pts_lo, q_hi, q_lo) -> np.ndarray:

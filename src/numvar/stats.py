@@ -28,6 +28,17 @@ sums of rank counts and one exact integer dot product with the
 numerators.  It costs O(N log N) per knot of f whatever ell and the
 support radius are, and its result is exact until the one final
 rounding to float.
+
+The spectral route (pair_correlation_fourier, and through it
+number_variance_fourier) sums |T_n|^2 over 1 <= n <= M in fixed chunks
+of 2**16 phases, so a chunk stays in cache and the reduction order is
+fixed.  M is the least truncation point at which a rigorous tail bound
+is <= tol: the smaller of the trivial bound ||T_n|^2 - N| <= N^2 and
+the Montgomery-Vaughan large sieve, which needs the least circular gap
+delta of the dilated points, taken exactly from their numerators.  The
+large sieve shrinks M from 2N^2/(pi^2*L*tol) to at most about
+4N/(pi^2*L*tol) + (2N/(pi^2*L*tol*delta))^(1/2); tied points
+(delta = 0) keep the trivial M.
 """
 
 from __future__ import annotations
@@ -48,6 +59,7 @@ from .fixedpoint import (
     add_words,
     dot_words,
     less_words,
+    min_gap_words,
     mul_words,
     phase_top_bits,
     rank_words,
@@ -61,8 +73,9 @@ _CENTER_STREAM = 0x63656E74  # Philox counter tag for window centers
 # Ceiling on spectral-sum terms; BudgetError above this (raise tol instead).
 FOURIER_TERM_CEILING = 10**9
 
-# Chunk size, a fixed constant so reductions are order-deterministic.
-_PHASE_CHUNK_ENTRIES = 1 << 21
+# Phases per chunk of the spectral kernel: a fixed constant, so reductions
+# are order-deterministic, and small enough that a chunk stays in cache.
+_PHASE_CHUNK_ENTRIES = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -149,9 +162,9 @@ class TestFunction:
 
     kind is "tent" (support radius 1), "indicator" (the half-open
     interval [-1/2, 1/2), radius 1/2), or "custom" (a tabulated function
-    with a declared support radius; evaluated by linear interpolation,
-    zero outside the table; the pair sums also take it as zero outside
-    [-radius, radius]).
+    with a declared support radius; evaluated by linear interpolation on
+    the closed support [-radius, radius] and zero outside it or outside
+    the table, which is what the pair sums sum).
     """
 
     __test__ = False  # keep pytest from collecting this as a test case
@@ -189,6 +202,7 @@ class TestFunction:
             out = ((arr >= -0.5) & (arr < 0.5)).astype(np.float64)
         else:
             out = np.interp(arr, self.xs, self.values, left=0.0, right=0.0)
+            out = np.where(np.abs(arr) <= self.radius, out, 0.0)
         if arr.ndim == 0:
             return float(out)
         return out
@@ -473,14 +487,38 @@ def pair_correlation_fourier(
 ) -> PairCorrResult:
     """Spectral route: R2 = (L/N^2) * sum_n tent_fourier(ell*n) * (|T_n|^2 - N).
 
-    T_n = sum_j e(n * alpha * a_j), with phases taken from the exact
-    128-bit fractional parts.  The n = 0 term contributes L - L/N; the
-    rest is truncated at |n| <= M with M chosen so the rigorous tail
-    bound 2*N^2/(pi^2*L*M) is at most tol.  That bound combines
-    tent_fourier(ell*n) <= 1/(pi*ell*n)^2 with the trivial bound N^2 on
-    ||T_n|^2 - N|; the value actually achieved at the chosen M is
-    reported as truncation_bound.  M must stay below 2**32, the range
-    where the phases are exact.
+    T_n = sum_j e(n * x_j) over the dilated points x_j = p_j / 2**128,
+    p_j = alpha * a_j mod 2**128 exactly, with phases taken from those
+    numerators.  The n = 0 term contributes L - L/N; the rest is
+    truncated at |n| <= M, and truncation_bound is a rigorous bound on
+    what the dropped terms |n| > M contribute.
+
+    With tent_fourier(ell*n) <= 1/(pi*ell*n)^2 and L = N*ell, the tail
+    is at most (2/(pi^2 L)) * sum_{n>M} ||T_n|^2 - N| / n^2.  Two bounds
+    on it:
+
+    - trivial: ||T_n|^2 - N| <= N^2 and sum_{n>M} 1/n^2 <= 1/M give
+      2*N^2/(pi^2*L*M);
+    - large sieve (Montgomery-Vaughan): for any K consecutive n,
+      sum |T_n|^2 <= (K - 1 + 1/delta) * N, delta the least circular
+      gap of the points.  So a_n = |T_n|^2 + N >= ||T_n|^2 - N| has
+      A(n') = sum_{M<n<=n'} a_n <= (2(n'-M) - 1 + 1/delta) * N, and
+      partial summation against the decreasing 1/n^2,
+      sum_{n>M} a_n/n^2 = sum_{n'>M} A(n') * (1/n'^2 - 1/(n'+1)^2),
+      gives 2N/(pi^2 L) * (2 * sum_{n>M} 1/n^2 + (1/delta - 1)/(M+1)^2)
+      <= 2N/(pi^2 L) * (2/M + (1/delta - 1)/(M+1)^2).
+
+    delta is exact: the least gap of the sorted numerators, with 1/delta
+    rounded up.  Tied points (delta = 0, e.g. alpha = 0 or a small
+    rational alpha) leave only the trivial bound, and N = 1 has no tail
+    (|T_n|^2 = N).  M is the least M >= 1 at which the smaller of the two
+    bounds is <= tol, so M never exceeds the trivial bound's M, and that
+    smaller bound is reported as truncation_bound.  M must stay below
+    2**32, the range where the phases are exact, and below max_terms.
+
+    The phases are summed over fixed chunks of n of about
+    _PHASE_CHUNK_ENTRIES phases each, so the working set stays in cache
+    and the reduction order is fixed.
     """
     n_pts = len(seq)
     if params.N != n_pts:
@@ -488,31 +526,64 @@ def pair_correlation_fourier(
             "params built for N=%d but sequence has %d terms" % (params.N, n_pts)
         )
     L = params.L
-    ell = params.ell
     if tol <= 0 or not math.isfinite(tol):
         raise BudgetError("tol must be positive: the truncation point diverges")
-    m_terms = math.ceil(2.0 * n_pts * n_pts / (math.pi**2 * L * tol))
-    m_terms = max(m_terms, 1)
+    u_hi, u_lo = mul_words(alpha.numerator, seq.terms)
+    m_terms, bound = _truncation_point(n_pts, L, tol, min_gap_words(u_hi, u_lo))
     ceiling = min(max_terms, PHASE_N_BOUND - 1)
     if m_terms > ceiling:
         raise BudgetError(
             "spectral sum needs M=%d terms > ceiling %d; raise tol"
             % (m_terms, ceiling)
         )
-    u_hi, u_lo = mul_words(alpha.numerator, seq.terms)
+    tail_sum = _phase_sum(u_hi, u_lo, params.ell, 1, m_terms + 1)
+    r2 = L - L / n_pts + (2.0 * L / (n_pts * n_pts)) * tail_sum
+    return PairCorrResult(r2=r2, method="fourier", truncation_bound=bound, params=params)
 
+
+def _truncation_point(n_pts: int, L: float, tol: float, gap: int):
+    """(M, bound) for pair_correlation_fourier, from the least gap numerator."""
+    if n_pts == 1:
+        return 1, 0.0
+
+    def trivial(m: int) -> float:
+        return 2.0 * n_pts * n_pts / (math.pi**2 * L * m)
+
+    m_real = 2.0 * n_pts * n_pts / (math.pi**2 * L * tol)
+    if not math.isfinite(m_real):
+        raise BudgetError("tol %g too small: the truncation point overflows" % tol)
+    m_trivial = max(1, math.ceil(m_real))
+    if gap == 0:
+        return m_trivial, trivial(m_trivial)
+    excess = float(-(-MODULUS // gap) - 1)  # ceil(1/delta) - 1
+
+    def sieve(m: int) -> float:
+        m1 = m + 1.0  # m1 * m1 goes to inf where ** would raise, far past any ceiling
+        return 2.0 * n_pts / (math.pi**2 * L) * (2.0 / m + excess / (m1 * m1))
+
+    # least M in [1, m_trivial] with sieve(M) <= tol; sieve decreases in M
+    low, high = 0, m_trivial
+    if sieve(high) <= tol:
+        while high - low > 1:
+            mid = (low + high) // 2
+            if sieve(mid) <= tol:
+                high = mid
+            else:
+                low = mid
+    return high, min(sieve(high), trivial(high))
+
+
+def _phase_sum(u_hi, u_lo, ell: float, n_lo: int, n_hi: int) -> float:
+    """sum_{n_lo <= n < n_hi} tent_fourier(ell*n) * (|T_n|^2 - N) over the words u."""
+    n_pts = u_hi.size
     chunk = max(1, _PHASE_CHUNK_ENTRIES // n_pts)
     chunk_sums = []
-    for n0 in range(1, m_terms + 1, chunk):
-        nn = np.arange(n0, min(n0 + chunk, m_terms + 1), dtype=np.uint64)
-        theta = phase_top_bits(nn, u_hi, u_lo)
-        ang = (2.0 * np.pi) * theta
+    for n0 in range(n_lo, n_hi, chunk):
+        nn = np.arange(n0, min(n0 + chunk, n_hi), dtype=np.uint64)
+        ang = (2.0 * np.pi) * phase_top_bits(nn, u_hi, u_lo)
         t_re = np.cos(ang).sum(axis=1)
         t_im = np.sin(ang).sum(axis=1)
         abs_t2 = t_re * t_re + t_im * t_im
         w = np.sinc(ell * nn.astype(np.float64)) ** 2
         chunk_sums.append(np.sum(w * (abs_t2 - n_pts)))
-    tail_sum = float(np.sum(np.asarray(chunk_sums))) if chunk_sums else 0.0
-    r2 = L - L / n_pts + (2.0 * L / (n_pts * n_pts)) * tail_sum
-    bound = 2.0 * n_pts * n_pts / (math.pi**2 * L * m_terms)
-    return PairCorrResult(r2=r2, method="fourier", truncation_bound=bound, params=params)
+    return float(np.sum(np.asarray(chunk_sums))) if chunk_sums else 0.0

@@ -213,6 +213,10 @@ def test_split_join_round_trip(num, k):
 @example(MODULUS - 1, [1, -1, TOP, -TOP])  # product words hi = 2**64 - 1 and 0
 @example((M64 << 64) | M64, [TOP, -TOP, 2])
 @example(1 << 64, [-(1 << 32), -1])
+# longer than one block of the multiply, signs alternating across the
+# block boundaries at multiples of 2**14
+@example((M64 << 64) | 12345,
+         [(-1) ** k * (k * 7919 + TOP % (k + 1)) for k in range(3 * (1 << 14) + 5)])
 def test_mul_words_matches_bigint(num, values):
     hi, lo = fp.mul_words(num, np.array(values, dtype=np.int64))
     assert hi.dtype == lo.dtype == np.uint64
@@ -291,6 +295,23 @@ def test_rank_words_many_tie_blocks():
     assert np.unique(hi).size >= 1000
     rank = fp.rank_words(hi, lo, q_hi, q_lo)
     assert list(rank) == [bisect.bisect_left(nums, q) for q in queries]
+
+
+def circular_gap_oracle(nums):
+    pts = sorted(nums)
+    return min([b - a for a, b in zip(pts, pts[1:])] + [pts[0] + MODULUS - pts[-1]])
+
+
+@words_settings
+@given(st.lists(clustered, min_size=1, max_size=20))
+@example([7])  # one point: the whole circle
+@example([(2 << 64) | 9, 3, (2 << 64) | 9])  # a tie: gap 0
+@example([(3 << 64) | 1, (3 << 64) | 5, MODULUS - 2])  # equal high words; the wrap gap is 3
+@example([(1 << 64) | 2, M64, 0, MODULUS - 1])  # a borrow from the high word; wrap gap 1
+def test_min_gap_words_matches_bigint(nums):
+    gap = fp.min_gap_words(*fp.to_words(nums))
+    assert type(gap) is int
+    assert gap == circular_gap_oracle(nums)
 
 
 @words_settings

@@ -37,6 +37,8 @@ from numvar import (
     tent,
     tent_fourier,
 )
+from numvar import fixedpoint as fp
+from numvar import stats
 from numvar.fixedpoint import MODULUS
 
 
@@ -511,6 +513,14 @@ WIDE_TABLE = TestFunction.custom([-3.0, 0.0, 3.0], [1.0, 3.0, 2.0], radius=1.2)
 ALL_KINDS = (TestFunction.tent(), TestFunction.indicator(), STEP_TABLE, WIDE_TABLE)
 
 
+def test_custom_function_zero_beyond_radius():
+    # f is what the pair sums sum: the table on the closed [-radius, radius]
+    for t in (1.2, -1.2, 0.7):
+        assert WIDE_TABLE(t) == float(np.interp(t, WIDE_TABLE.xs, WIDE_TABLE.values))
+    assert WIDE_TABLE(2.0) == 0.0 and WIDE_TABLE(-1.2000001) == 0.0
+    assert list(WIDE_TABLE(np.array([-2.5, 1.2, 2.0]))) == [0.0, 2.6, 0.0]
+
+
 def test_exact_kernel_random_points_small_windows():
     rng = np.random.default_rng(4242)
     for _ in range(6):
@@ -604,6 +614,98 @@ def test_fourier_halving_tol_moves_less_than_old_tol():
     assert abs(coarse - fine) <= 2e-4 + 1e-12
 
 
+def trivial_truncation(n, L, tol):
+    """M and bound of the trivial tail rule ||T_n|^2 - N| <= N^2."""
+    m_terms = max(1, math.ceil(2.0 * n * n / (math.pi**2 * L * tol)))
+    return m_terms, 2.0 * n * n / (math.pi**2 * L * m_terms)
+
+
+def test_large_sieve_inequality_numeric():
+    # sum over K consecutive n of |T_n|^2 <= (K - 1 + 1/delta) * N, with T_n
+    # summed in Python from exact phases n * p mod 2**128 and delta from
+    # the gap oracle; equispaced points meet it with equality at K = 1.
+    rng = np.random.default_rng(1973)
+    step = MODULUS // 7
+    sets = [[j * step for j in range(7)]]
+    for _ in range(8):
+        n = int(rng.integers(2, 10))
+        nums = [int(rng.integers(0, 1 << 63)) << 65 for _ in range(n)]
+        nums += [v + (int(rng.integers(1, 1 << 40)) << 80) for v in nums[:2]]  # near pairs
+        sets.append(nums)
+    for nums in sets:
+        delta = fp.min_gap_words(*fp.to_words(nums)) / MODULUS
+        assert delta > 0
+        windows = [(int(rng.integers(1, 5000)), int(rng.integers(1, 60))) for _ in range(4)]
+        for n0, k in windows + [(700, 1)]:
+            power = 0.0
+            for m in range(n0, n0 + k):
+                phases = np.array([(m * p) % MODULUS / MODULUS for p in nums])
+                power += abs(np.exp(2j * np.pi * phases).sum()) ** 2
+            assert power <= (k - 1 + 1 / delta) * len(nums) * (1 + 1e-9)
+
+
+def test_fourier_bound_covers_measured_tail():
+    # the spectral kernel's own sum over M < n <= 20 M stays within the
+    # reported truncation_bound, whichever of the two bounds set M
+    rng = np.random.default_rng(606)
+    cases = [([1, 2], FixedPointReal.from_fraction(1, 2), 0.4, 1e-4)]
+    for _ in range(6):
+        n = int(rng.integers(2, 12))
+        vals = sorted(int(v) for v in set(rng.integers(-(10**6), 10**6, size=4 * n)))[:n]
+        cases.append((vals, sample_alpha(int(rng.integers(1 << 62)), 0),
+                      float(rng.uniform(0.15, 0.5)), 1e-3))
+    cases.append((list(range(1, 9)), FixedPointReal.from_fraction(1, 3), 0.3, 1e-3))  # ties
+    for vals, alpha, beta, tol in cases:
+        seq = generate_sequence(SequenceSpec.custom(vals), len(vals))
+        params = WindowParams.from_beta(len(vals), beta)
+        got = pair_correlation_fourier(seq, alpha, params, tol)
+        u_hi, u_lo = fp.mul_words(alpha.numerator, seq.terms)
+        m_terms, bound = stats._truncation_point(len(vals), params.L, tol,
+                                                 fp.min_gap_words(u_hi, u_lo))
+        assert got.truncation_bound == bound <= tol
+        tail = stats._phase_sum(u_hi, u_lo, params.ell, m_terms + 1, 20 * m_terms + 1)
+        assert 2.0 * params.L / len(vals) ** 2 * abs(tail) <= bound
+
+
+def test_fourier_tied_points_keep_trivial_truncation():
+    # alpha = 0 puts every point at 0: delta = 0, only the trivial bound
+    for n, beta, tol in ((5, 0.3, 1e-3), (12, 0.45, 1e-4), (2, 0.2, 1e-2)):
+        seq = generate_sequence(SequenceSpec.monomial(2), n)
+        params = WindowParams.from_beta(n, beta)
+        u_hi, u_lo = fp.mul_words(0, seq.terms)
+        assert fp.min_gap_words(u_hi, u_lo) == 0
+        want = trivial_truncation(n, params.L, tol)
+        assert stats._truncation_point(n, params.L, tol, 0) == want
+        got = pair_correlation_fourier(seq, FixedPointReal(0), params, tol)
+        assert got.truncation_bound == want[1]
+
+
+def test_fourier_truncation_never_exceeds_trivial():
+    rng = np.random.default_rng(1212)
+    for _ in range(300):
+        n = int(rng.integers(2, 2000))
+        L = float(n) ** float(rng.uniform(0.0, 1.0))
+        tol = 10.0 ** float(rng.uniform(-9, 0))
+        gap = [0, 1, 1 << 64, MODULUS // (n * n + 1), MODULUS // n][int(rng.integers(5))]
+        m_terms, bound = stats._truncation_point(n, L, tol, gap)
+        m_trivial, _ = trivial_truncation(n, L, tol)
+        assert 1 <= m_terms <= m_trivial
+
+        def either(m):  # the smaller of the two tail bounds at M = m
+            trivial = 2.0 * n * n / (math.pi**2 * L * m)
+            if gap == 0:
+                return trivial
+            excess = -(-MODULUS // gap) - 1  # ceil(1/delta) - 1
+            sieve = 2.0 * n / (math.pi**2 * L) * (2.0 / m + excess / (m + 1) ** 2)
+            return min(trivial, sieve)
+
+        assert bound <= tol
+        assert math.isclose(bound, either(m_terms), rel_tol=1e-12)
+        assert m_terms == 1 or either(m_terms - 1) > tol  # the least such M
+    # one point: |T_n|^2 = N, so nothing is truncated
+    assert stats._truncation_point(1, 1.0, 1e-6, MODULUS) == (1, 0.0)
+
+
 def test_fourier_budget_errors():
     seq = generate_sequence(SequenceSpec.monomial(2), 100)
     alpha = sample_alpha(1, 0)
@@ -616,11 +718,16 @@ def test_fourier_budget_errors():
         pair_correlation_fourier(seq, alpha, params, 0.0)
     with pytest.raises(BudgetError):
         pair_correlation_fourier(seq, alpha, params, -1.0)
-    # M ~ 5e14 is under max_terms but beyond the exact phase range n < 2**32
+    # M ~ 1e13 is under max_terms but beyond the exact phase range n < 2**32
     with pytest.raises(BudgetError, match="ceiling 4294967295"):
         pair_correlation_fourier(seq, alpha, params, 1e-12, max_terms=10**15)
     with pytest.raises(BudgetError, match="ceiling 4294967295"):
         number_variance_fourier(seq, alpha, params, 1e-12, max_terms=10**15)
+    # M near 1e302 and beyond the float range: still a BudgetError
+    with pytest.raises(BudgetError, match="ceiling"):
+        pair_correlation_fourier(seq, alpha, params, 1e-300)
+    with pytest.raises(BudgetError, match="too small"):
+        pair_correlation_fourier(seq, alpha, params, 1e-320)
 
 
 def test_fourier_rejects_mismatched_params():

@@ -57,6 +57,16 @@ def test_lemma1_half_spacing_closed_form():
     assert abs(res.lhs - series) < 1e-9
 
 
+def test_lemma1_poisson_closed_form():
+    # Poisson summation: sum_n sinc^4(a n) = (1/a) sum_m B(m/a), B the
+    # tent convolved with itself (support [-2, 2], B(0) = 2/3); for
+    # 0 < a <= 1/2 only m = 0 is left, so sum_{n != 0} = 2/(3a) - 1.
+    for a in (0.5, 0.3, 1.0 / 7.0, 0.05):
+        res = lemma1_check(a)
+        closed = 2.0 / (3.0 * a) - 1.0
+        assert closed - res.tail_bound <= res.lhs <= closed
+
+
 def test_lemma1_wide_spacing_tiny():
     res = lemma1_check(100.0)
     assert res.lhs + res.tail_bound < 0.01
