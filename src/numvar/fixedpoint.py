@@ -271,6 +271,24 @@ def min_gap_words(hi: np.ndarray, lo: np.ndarray) -> int:
     return min(join(least, d_lo[d_hi == least].min()), wrap)
 
 
+def close_pairs_words(hi: np.ndarray, lo: np.ndarray, d: int) -> int:
+    """#unordered pairs of numerators at circular distance < d, as a Python int.
+
+    0 < d <= 2**127, so no pair is close both ways round.  In sorted
+    order each point counts the points after it that lie below p + d;
+    when p + d wraps past 2**128, that is every point after it plus the
+    points below p + d - 2**128.  Equal numerators are at distance 0.
+    """
+    order = argsort_words(hi, lo)
+    s_hi, s_lo = hi[order], lo[order]
+    q_hi, q_lo = add_words(s_hi, s_lo, d)
+    rank = rank_words(s_hi, s_lo, q_hi, q_lo)
+    wrapped = less_words(q_hi, q_lo, s_hi, s_lo)
+    # point i counts rank - (i + 1), or n - (i + 1) + rank when wrapped
+    n = hi.size
+    return int(np.where(wrapped, n + rank, rank).sum()) - n * (n + 1) // 2
+
+
 def rank_words(pts_hi, pts_lo, q_hi, q_lo) -> np.ndarray:
     """#sorted points strictly below each query numerator, vectorized.
 

@@ -33,12 +33,16 @@ The spectral route (pair_correlation_fourier, and through it
 number_variance_fourier) sums |T_n|^2 over 1 <= n <= M in fixed chunks
 of 2**16 phases, so a chunk stays in cache and the reduction order is
 fixed.  M is the least truncation point at which a rigorous tail bound
-is <= tol: the smaller of the trivial bound ||T_n|^2 - N| <= N^2 and
-the Montgomery-Vaughan large sieve, which needs the least circular gap
-delta of the dilated points, taken exactly from their numerators.  The
-large sieve shrinks M from 2N^2/(pi^2*L*tol) to at most about
-4N/(pi^2*L*tol) + (2N/(pi^2*L*tol*delta))^(1/2); tied points
-(delta = 0) keep the trivial M.
+is <= tol: the smallest of the trivial bound ||T_n|^2 - N| <= N^2 and
+the large sieve at two spacings, the least circular gap delta of the
+dilated points (Montgomery-Vaughan) and 1/(4N) with the number of
+pairs closer than that, both taken exactly from the numerators.  Both
+cut M from order N^2/(L*tol) to order N/(L*tol) plus a square-root
+term.  The second is sized for at least N/2 close pairs, so M, and
+with it the cost, is the same for every alpha whose points do not
+cluster (at N = 300, tol 1e-2 most alphas get M = 3961, where the
+least gap alone gives anything from 2.6e3 to 1.1e5).  Fully tied
+points (alpha = 0) keep the trivial M.
 """
 
 from __future__ import annotations
@@ -57,6 +61,7 @@ from .fixedpoint import (
     PHASE_N_BOUND,
     FixedPointReal,
     add_words,
+    close_pairs_words,
     dot_words,
     less_words,
     min_gap_words,
@@ -494,27 +499,39 @@ def pair_correlation_fourier(
     what the dropped terms |n| > M contribute.
 
     With tent_fourier(ell*n) <= 1/(pi*ell*n)^2 and L = N*ell, the tail
-    is at most (2/(pi^2 L)) * sum_{n>M} ||T_n|^2 - N| / n^2.  Two bounds
-    on it:
+    is at most (2/(pi^2 L)) * sum_{n>M} ||T_n|^2 - N| / n^2.  Bounds on
+    it:
 
     - trivial: ||T_n|^2 - N| <= N^2 and sum_{n>M} 1/n^2 <= 1/M give
       2*N^2/(pi^2*L*M);
-    - large sieve (Montgomery-Vaughan): for any K consecutive n,
-      sum |T_n|^2 <= (K - 1 + 1/delta) * N, delta the least circular
-      gap of the points.  So a_n = |T_n|^2 + N >= ||T_n|^2 - N| has
-      A(n') = sum_{M<n<=n'} a_n <= (2(n'-M) - 1 + 1/delta) * N, and
+    - large sieve with near pairs: for any K consecutive n and
+      0 < d <= 1/2, sum |T_n|^2 <= (K - 1 + 1/d) * P(d), where P(d)
+      counts the ordered pairs (j, k), j = k included, at circular
+      distance < d.  (Sum Selberg's majorant of the n-window, whose
+      Fourier transform lives on [-d, d] and is at most K - 1 + 1/d,
+      against |T_n|^2 and apply Poisson summation.)  At d = delta, the
+      least gap, P = N: the Montgomery-Vaughan inequality.  So
+      a_n = |T_n|^2 + N >= ||T_n|^2 - N| has
+      A(n') = sum_{M<n<=n'} a_n <= (n'-M)(P + N) + (1/d - 1) * P, and
       partial summation against the decreasing 1/n^2,
       sum_{n>M} a_n/n^2 = sum_{n'>M} A(n') * (1/n'^2 - 1/(n'+1)^2),
-      gives 2N/(pi^2 L) * (2 * sum_{n>M} 1/n^2 + (1/delta - 1)/(M+1)^2)
-      <= 2N/(pi^2 L) * (2/M + (1/delta - 1)/(M+1)^2).
+      gives (2/(pi^2 L)) * ((P + N)/M + (1/d - 1) * P/(M+1)^2).
 
-    delta is exact: the least gap of the sorted numerators, with 1/delta
-    rounded up.  Tied points (delta = 0, e.g. alpha = 0 or a small
-    rational alpha) leave only the trivial bound, and N = 1 has no tail
-    (|T_n|^2 = N).  M is the least M >= 1 at which the smaller of the two
-    bounds is <= tol, so M never exceeds the trivial bound's M, and that
-    smaller bound is reported as truncation_bound.  M must stay below
-    2**32, the range where the phases are exact, and below max_terms.
+    The large sieve is taken at two spacings, both exact from the
+    numerators with 1/d rounded up: d = delta (P = N; none for tied
+    points), which wins once M is far above 1/delta, and d = 1/(4N)
+    with P = N + 2 * (pairs closer than d), which wins when M is
+    near 1/delta.  There delta alone would make M, and the run time,
+    swing with the one closest pair (at N = 300, tol 1e-2, M spans
+    2.6e3..1.1e5 over alpha), while a count of ~N/4 pairs is steady.
+    M is sized for P >= 2N (at least N/2 close pairs, twice their
+    alpha-average), so for all but clustered point sets M depends on
+    N, L and tol alone; the reported bound uses the actual P.  N = 1
+    has no tail (|T_n|^2 = N).  M is the least M >= 1 at which the
+    smallest of the bounds is <= tol, so it never exceeds the trivial
+    bound's M, and that smallest bound is reported as truncation_bound.
+    M must stay below 2**32, the range where the phases are exact, and
+    below max_terms.
 
     The phases are summed over fixed chunks of n of about
     _PHASE_CHUNK_ENTRIES phases each, so the working set stays in cache
@@ -529,7 +546,10 @@ def pair_correlation_fourier(
     if tol <= 0 or not math.isfinite(tol):
         raise BudgetError("tol must be positive: the truncation point diverges")
     u_hi, u_lo = mul_words(alpha.numerator, seq.terms)
-    m_terms, bound = _truncation_point(n_pts, L, tol, min_gap_words(u_hi, u_lo))
+    m_terms, bound = _truncation_point(
+        n_pts, L, tol, min_gap_words(u_hi, u_lo),
+        close_pairs_words(u_hi, u_lo, _close_spacing(n_pts)),
+    )
     ceiling = min(max_terms, PHASE_N_BOUND - 1)
     if m_terms > ceiling:
         raise BudgetError(
@@ -541,36 +561,47 @@ def pair_correlation_fourier(
     return PairCorrResult(r2=r2, method="fourier", truncation_bound=bound, params=params)
 
 
-def _truncation_point(n_pts: int, L: float, tol: float, gap: int):
-    """(M, bound) for pair_correlation_fourier, from the least gap numerator."""
+def _close_spacing(n_pts: int) -> int:
+    """Numerator of the near-pair spacing d = 1/(4N) of the large sieve."""
+    return MODULUS // (4 * n_pts)
+
+
+def _truncation_point(n_pts: int, L: float, tol: float, gap: int, pairs: int):
+    """(M, bound) for pair_correlation_fourier.
+
+    gap is the least gap numerator, pairs the number of unordered pairs
+    closer than _close_spacing(n_pts).
+    """
     if n_pts == 1:
         return 1, 0.0
+    scale = 2.0 / (math.pi**2 * L)
 
     def trivial(m: int) -> float:
         return 2.0 * n_pts * n_pts / (math.pi**2 * L * m)
+
+    def sieve(m: int, inv_d: int, p: int) -> float:
+        m1 = m + 1.0  # m1 * m1 goes to inf where ** would raise, far past any ceiling
+        return scale * ((p + n_pts) / m + float(inv_d - 1) * p / (m1 * m1))
+
+    def sieves(m: int, p: int) -> float:
+        near = sieve(m, -(-MODULUS // _close_spacing(n_pts)), p)
+        return min(near, sieve(m, -(-MODULUS // gap), n_pts)) if gap else near
 
     m_real = 2.0 * n_pts * n_pts / (math.pi**2 * L * tol)
     if not math.isfinite(m_real):
         raise BudgetError("tol %g too small: the truncation point overflows" % tol)
     m_trivial = max(1, math.ceil(m_real))
-    if gap == 0:
-        return m_trivial, trivial(m_trivial)
-    excess = float(-(-MODULUS // gap) - 1)  # ceil(1/delta) - 1
-
-    def sieve(m: int) -> float:
-        m1 = m + 1.0  # m1 * m1 goes to inf where ** would raise, far past any ceiling
-        return 2.0 * n_pts / (math.pi**2 * L) * (2.0 / m + excess / (m1 * m1))
-
-    # least M in [1, m_trivial] with sieve(M) <= tol; sieve decreases in M
+    sized = max(n_pts + 2 * pairs, 2 * n_pts)
+    # least M in [1, m_trivial] with sieves(M, sized) <= tol; it decreases in M
     low, high = 0, m_trivial
-    if sieve(high) <= tol:
+    if sieves(high, sized) <= tol:
         while high - low > 1:
             mid = (low + high) // 2
-            if sieve(mid) <= tol:
+            if sieves(mid, sized) <= tol:
                 high = mid
             else:
                 low = mid
-    return high, min(sieve(high), trivial(high))
+    return high, min(trivial(high), sieves(high, n_pts + 2 * pairs))
 
 
 def _phase_sum(u_hi, u_lo, ell: float, n_lo: int, n_hi: int) -> float:

@@ -217,9 +217,9 @@ def x_second_moment(
     k = n * w, 1 <= n <= M and w in the difference profile, with M from
     the trivial tail rule M = 2N^2/(pi^2*L*tol), at most max_terms.  The
     large-sieve rule of the spectral pair correlation does not apply:
-    this route averages over alpha, so there are no dilated points and
-    no least gap delta.  Coefficients are accumulated by a blocked
-    divisor sieve over k, so memory stays bounded regardless of how many
+    this route averages over alpha, so there are no dilated points to
+    take a least gap or close pairs from.  Coefficients are accumulated
+    by a blocked divisor sieve over k, so memory stays bounded regardless of how many
     (n, w) pairs contribute.  Slightly below the true moment: |n| > M terms are
     dropped everywhere, and |k| > max_k coefficients entirely; both
     tails decay like the cube of the cutoff, and doubling the budgets is

@@ -314,6 +314,26 @@ def test_min_gap_words_matches_bigint(nums):
     assert gap == circular_gap_oracle(nums)
 
 
+def close_pairs_oracle(nums, d):
+    return sum(min((a - b) % MODULUS, (b - a) % MODULUS) < d
+               for i, a in enumerate(nums) for b in nums[i + 1:])
+
+
+@words_settings
+@given(st.lists(clustered, min_size=1, max_size=20),
+       st.integers(1, 1 << 127) | st.sampled_from([1, 2, 1 << 64, (1 << 64) + 1, 1 << 127]))
+@example([7], 1 << 127)  # one point: no pairs
+@example([(2 << 64) | 9, 3, (2 << 64) | 9], 1)  # a tie is a close pair at any d
+@example([1, MODULUS - 2, 1 << 126], 3)  # the pair 1, 2**128 - 2 is close across 0
+@example([1, MODULUS - 2, 1 << 126], 4)
+@example([(3 << 64) | 1, (3 << 64) | 5, (3 << 64) | 9], 8)  # equal high words
+@example([0, 1 << 127], 1 << 127)  # exactly d apart both ways: not close
+def test_close_pairs_words_matches_bigint(nums, d):
+    pairs = fp.close_pairs_words(*fp.to_words(nums), d)
+    assert type(pairs) is int
+    assert pairs == close_pairs_oracle(nums, d)
+
+
 @words_settings
 @given(st.lists(st.tuples(st.integers(0, (1 << 62) - 1) | st.sampled_from([0, 1, 1 << 40]),
                           st.integers(0, (1 << 40) - 1),

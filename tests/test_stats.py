@@ -621,9 +621,11 @@ def trivial_truncation(n, L, tol):
 
 
 def test_large_sieve_inequality_numeric():
-    # sum over K consecutive n of |T_n|^2 <= (K - 1 + 1/delta) * N, with T_n
-    # summed in Python from exact phases n * p mod 2**128 and delta from
-    # the gap oracle; equispaced points meet it with equality at K = 1.
+    # sum over K consecutive n of |T_n|^2 <= (K - 1 + 1/d) * P(d), P(d) the
+    # ordered pairs (j = k included) closer than d.  At d = delta, the least
+    # gap, P = N (Montgomery-Vaughan); wider d count near pairs and ties.
+    # T_n is summed in Python from exact phases n * p mod 2**128;
+    # equispaced points meet it with equality at K = 1 and d = delta.
     rng = np.random.default_rng(1973)
     step = MODULUS // 7
     sets = [[j * step for j in range(7)]]
@@ -632,21 +634,25 @@ def test_large_sieve_inequality_numeric():
         nums = [int(rng.integers(0, 1 << 63)) << 65 for _ in range(n)]
         nums += [v + (int(rng.integers(1, 1 << 40)) << 80) for v in nums[:2]]  # near pairs
         sets.append(nums)
+    sets.append(sets[1] + [sets[1][0]])  # a tie: delta = 0
     for nums in sets:
-        delta = fp.min_gap_words(*fp.to_words(nums)) / MODULUS
-        assert delta > 0
+        words = fp.to_words(nums)
+        spacings = (fp.min_gap_words(*words), MODULUS // (4 * len(nums)),
+                    MODULUS >> 12, MODULUS >> 30, MODULUS // 2)
         windows = [(int(rng.integers(1, 5000)), int(rng.integers(1, 60))) for _ in range(4)]
         for n0, k in windows + [(700, 1)]:
             power = 0.0
             for m in range(n0, n0 + k):
                 phases = np.array([(m * p) % MODULUS / MODULUS for p in nums])
                 power += abs(np.exp(2j * np.pi * phases).sum()) ** 2
-            assert power <= (k - 1 + 1 / delta) * len(nums) * (1 + 1e-9)
+            for d in filter(None, spacings):
+                pairs = len(nums) + 2 * fp.close_pairs_words(*words, d)
+                assert power <= (k - 1 + MODULUS / d) * pairs * (1 + 1e-9)
 
 
 def test_fourier_bound_covers_measured_tail():
     # the spectral kernel's own sum over M < n <= 20 M stays within the
-    # reported truncation_bound, whichever of the two bounds set M
+    # reported truncation_bound, whichever of the bounds set M
     rng = np.random.default_rng(606)
     cases = [([1, 2], FixedPointReal.from_fraction(1, 2), 0.4, 1e-4)]
     for _ in range(6):
@@ -660,22 +666,26 @@ def test_fourier_bound_covers_measured_tail():
         params = WindowParams.from_beta(len(vals), beta)
         got = pair_correlation_fourier(seq, alpha, params, tol)
         u_hi, u_lo = fp.mul_words(alpha.numerator, seq.terms)
+        pairs = fp.close_pairs_words(u_hi, u_lo, stats._close_spacing(len(vals)))
         m_terms, bound = stats._truncation_point(len(vals), params.L, tol,
-                                                 fp.min_gap_words(u_hi, u_lo))
+                                                 fp.min_gap_words(u_hi, u_lo), pairs)
         assert got.truncation_bound == bound <= tol
         tail = stats._phase_sum(u_hi, u_lo, params.ell, m_terms + 1, 20 * m_terms + 1)
         assert 2.0 * params.L / len(vals) ** 2 * abs(tail) <= bound
 
 
 def test_fourier_tied_points_keep_trivial_truncation():
-    # alpha = 0 puts every point at 0: delta = 0, only the trivial bound
+    # alpha = 0 puts every point at 0: delta = 0 and every pair is close,
+    # so the trivial bound is the smallest
     for n, beta, tol in ((5, 0.3, 1e-3), (12, 0.45, 1e-4), (2, 0.2, 1e-2)):
         seq = generate_sequence(SequenceSpec.monomial(2), n)
         params = WindowParams.from_beta(n, beta)
         u_hi, u_lo = fp.mul_words(0, seq.terms)
         assert fp.min_gap_words(u_hi, u_lo) == 0
+        pairs = fp.close_pairs_words(u_hi, u_lo, stats._close_spacing(n))
+        assert pairs == n * (n - 1) // 2
         want = trivial_truncation(n, params.L, tol)
-        assert stats._truncation_point(n, params.L, tol, 0) == want
+        assert stats._truncation_point(n, params.L, tol, 0, pairs) == want
         got = pair_correlation_fourier(seq, FixedPointReal(0), params, tol)
         assert got.truncation_bound == want[1]
 
@@ -687,23 +697,50 @@ def test_fourier_truncation_never_exceeds_trivial():
         L = float(n) ** float(rng.uniform(0.0, 1.0))
         tol = 10.0 ** float(rng.uniform(-9, 0))
         gap = [0, 1, 1 << 64, MODULUS // (n * n + 1), MODULUS // n][int(rng.integers(5))]
-        m_terms, bound = stats._truncation_point(n, L, tol, gap)
+        pairs = [0, n // 4, n, n * (n - 1) // 2][int(rng.integers(4))]
+        m_terms, bound = stats._truncation_point(n, L, tol, gap, pairs)
         m_trivial, _ = trivial_truncation(n, L, tol)
         assert 1 <= m_terms <= m_trivial
 
-        def either(m):  # the smaller of the two tail bounds at M = m
-            trivial = 2.0 * n * n / (math.pi**2 * L * m)
-            if gap == 0:
-                return trivial
-            excess = -(-MODULUS // gap) - 1  # ceil(1/delta) - 1
-            sieve = 2.0 * n / (math.pi**2 * L) * (2.0 / m + excess / (m + 1) ** 2)
-            return min(trivial, sieve)
+        def smallest(m, p):  # the least tail bound at M = m, with P(1/(4N)) = p
+            scale = 2.0 / (math.pi**2 * L)
+            excess = -(-MODULUS // (MODULUS // (4 * n))) - 1  # ceil(1/d) - 1
+            bounds = [2.0 * n * n / (math.pi**2 * L * m),
+                      scale * ((p + n) / m + excess * p / (m + 1) ** 2)]
+            if gap:
+                excess = -(-MODULUS // gap) - 1  # ceil(1/delta) - 1
+                bounds.append(scale * (2.0 * n / m + excess * n / (m + 1) ** 2))
+            return min(bounds)
 
+        # M is the least M for P sized to at least 2N; the bound is at the actual P
+        sized = max(n + 2 * pairs, 2 * n)
         assert bound <= tol
-        assert math.isclose(bound, either(m_terms), rel_tol=1e-12)
-        assert m_terms == 1 or either(m_terms - 1) > tol  # the least such M
+        assert math.isclose(bound, smallest(m_terms, n + 2 * pairs), rel_tol=1e-12)
+        assert smallest(m_terms, sized) <= tol * (1 + 1e-12)
+        assert m_terms == 1 or smallest(m_terms - 1, sized) > tol
     # one point: |T_n|^2 = N, so nothing is truncated
-    assert stats._truncation_point(1, 1.0, 1e-6, MODULUS) == (1, 0.0)
+    assert stats._truncation_point(1, 1.0, 1e-6, MODULUS, 0) == (1, 0.0)
+
+
+def test_fourier_truncation_steady_over_alpha():
+    # N = 300, beta 0.3, tol 1e-2: the least gap alone puts M anywhere in
+    # about 2.6e3..1.1e5 as alpha varies.  The near-pair bound, sized for
+    # N/2 close pairs, gives most alphas one M; an alpha near a small
+    # rational (more close pairs) or with a wide least gap moves it.
+    n, tol = 300, 1e-2
+    seq = generate_sequence(SequenceSpec.monomial(2), n)
+    params = WindowParams.from_beta(n, 0.3)
+    all_pairs = n * (n - 1) // 2  # P = N^2: the near-pair bound never wins
+    steady, by_gap = [], []
+    for seed in range(20):
+        u_hi, u_lo = fp.mul_words(sample_alpha(seed, 0).numerator, seq.terms)
+        gap = fp.min_gap_words(u_hi, u_lo)
+        pairs = fp.close_pairs_words(u_hi, u_lo, stats._close_spacing(n))
+        steady.append(stats._truncation_point(n, params.L, tol, gap, pairs)[0])
+        by_gap.append(stats._truncation_point(n, params.L, tol, gap, all_pairs)[0])
+    assert all(m <= g for m, g in zip(steady, by_gap))
+    assert len(set(by_gap)) == 20
+    assert max(steady.count(m) for m in steady) >= 15
 
 
 def test_fourier_budget_errors():
