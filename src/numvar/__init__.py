@@ -45,6 +45,7 @@ from .energy import (
     EnergyProfile,
     GcdSumResult,
     additive_energy,
+    difference_count,
     difference_energy,
     difference_profile,
     gcd_sum_diagnostic,
@@ -110,6 +111,7 @@ __all__ = [
     "EnergyProfile",
     "GcdSumResult",
     "additive_energy",
+    "difference_count",
     "difference_energy",
     "difference_profile",
     "gcd_sum_diagnostic",

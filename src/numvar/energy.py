@@ -7,16 +7,19 @@ lacunary sequences) and N^3 (arithmetic progressions), and it is the
 quantity that separates sequences with Poissonian count statistics from
 structured ones.
 
-Counting is sort-based: materialize all N^2 ordered pair sums (int64 is
-exact, since |terms| < 2**62), sort, and read off run lengths.  With
-multiplicities r(s), the energy is sum r(s)^2.  Peak memory is about
-16 bytes per ordered pair, so N = 4096 costs ~0.5 GB transiently;
-larger N is possible but memory-bound.
+Counting runs on differences: a_i + a_j = a_k + a_l exactly when
+a_i - a_k = a_l - a_j, so with W(w) = #{(i, j) : a_i - a_j = w} the
+energy is sum_w W(w)^2 = N^2 + 2 sum_{w>0} W(w)^2 (W(0) = N for
+distinct terms, and W(-w) = W(w)).  The N(N-1)/2 positive differences
+are walked in ascending value bands of at most _BAND_ENTRIES entries,
+each gathered by sorted searches over the sorted terms, then sorted
+and read off as run lengths.  Time is O(N^2 log N); memory is bounded
+by the band, not by N^2.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Tuple
 
 import numpy as np
@@ -24,31 +27,35 @@ import numpy as np
 from .errors import BudgetError
 from .sequences import IntegerSequence
 
+# Most positive differences one band gathers: its few int64 work arrays
+# take 4 MB each, whatever N is.
+_BAND_ENTRIES = 1 << 19
+
 
 @dataclass(frozen=True)
 class EnergyProfile:
-    """Pair-sum multiplicities and the resulting additive energy.
+    """The additive energy of a sequence.
 
-    sums/counts are parallel arrays: counts[i] ordered pairs (i, j),
-    self-pairs included, share the sum value sums[i].  energy is an
-    exact Python int (arbitrary precision; values reach N^3).
+    energy is an exact Python int (arbitrary precision; values reach
+    N^3).  terms holds the sorted terms for multiplicity queries.
     """
 
     N: int
     energy: int
-    sums: np.ndarray
-    counts: np.ndarray
+    terms: np.ndarray = field(repr=False)
 
     def multiplicity(self, s: int) -> int:
         """r(s): how many ordered pairs add to s (0 if none)."""
-        i = int(np.searchsorted(self.sums, s))
-        if i < self.sums.size and int(self.sums[i]) == s:
-            return int(self.counts[i])
-        return 0
-
-    def items(self) -> Iterator[Tuple[int, int]]:
-        for s, c in zip(self.sums, self.counts):
-            yield int(s), int(c)
+        a = self.terms
+        lo, hi = int(a[0]), int(a[-1])
+        if not 2 * lo <= s <= 2 * hi:
+            return 0
+        # s - a_i is a term only for a_i in [s - hi, s - lo]; there it
+        # lies in [lo, hi], so the int64 subtraction is exact
+        first = np.searchsorted(a, max(s - hi, lo))
+        last = np.searchsorted(a, min(s - lo, hi), side="right")
+        want = s - a[first:last]
+        return int(np.count_nonzero(a[np.searchsorted(a, want)] == want))
 
 
 @dataclass(frozen=True)
@@ -83,40 +90,114 @@ def _run_lengths(sorted_vals: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return sorted_vals[starts], (ends - starts).astype(np.int64)
 
 
+def _sorted_offsets(terms: np.ndarray) -> np.ndarray:
+    """Sorted a - a_min as uint64.
+
+    Terms lie below 2^62 in magnitude, so offsets and the span stay
+    below 2^63 and u_i + v < 2^64 for every 0 <= v <= span + 1.
+    """
+    a = np.sort(terms)
+    return (a - a[0]).astype(np.uint64)
+
+
+def _positive_difference_bands(terms: np.ndarray) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """Run lengths (values, counts) of the differences a_j - a_i > 0, by band.
+
+    Bands [lo, hi) ascend and tile 1..span, so their concatenation is
+    the run-length table of the whole positive half.  Each edge hi is
+    found by bisection on the exact count of entries below it: a band
+    holds at most _BAND_ENTRIES entries, except that a single value
+    with more entries than that forms a band of its own.
+    """
+    u = _sorted_offsets(terms)
+    span = int(u[-1])
+
+    def ends(v: int) -> np.ndarray:
+        # row i's entries below v end at column ends(v)[i]
+        return np.searchsorted(u, u + np.uint64(v))
+
+    top = ends(span + 1)
+    below_top = int(top.sum())
+    lo, start = 1, ends(1)
+    below_lo = int(start.sum())
+    while lo <= span:
+        if below_top - below_lo <= _BAND_ENTRIES:
+            hi, stop = span + 1, top
+        else:
+            # invariant: [lo, good) fits in a band, [lo, bad) does not
+            good, bad, good_stop = lo, span + 1, start
+            while bad - good > 1:
+                mid = (good + bad) // 2
+                mid_stop = ends(mid)
+                if int(mid_stop.sum()) - below_lo <= _BAND_ENTRIES:
+                    good, good_stop = mid, mid_stop
+                else:
+                    bad = mid
+            # the value good alone overflows what is left of the band;
+            # when nothing precedes it, it is the band
+            if int(good_stop.sum()) > below_lo:
+                hi, stop = good, good_stop
+            else:
+                hi, stop = bad, ends(bad)
+        lengths = stop - start
+        total = int(lengths.sum())
+        cols = np.arange(total) + np.repeat(start - (np.cumsum(lengths) - lengths), lengths)
+        diffs = (u[cols] - np.repeat(u, lengths)).view(np.int64)
+        diffs.sort()
+        yield _run_lengths(diffs)
+        lo, start, below_lo = hi, stop, below_lo + total
+
+
 def additive_energy(seq: IntegerSequence) -> EnergyProfile:
     """#{(i,j,k,l) : a_i + a_j = a_k + a_l}, over ordered quadruples.
 
     Self-pairs i = j are included, matching the quadruple definition.
+    Computed as N^2 + 2 sum_{w>0} W(w)^2 from the positive differences.
     """
-    a = seq.terms
-    n = int(a.size)
-    sums = (a[:, None] + a[None, :]).ravel()
-    sums.sort(kind="stable")
-    vals, counts = _run_lengths(sums)
-    energy = int(np.sum(counts * counts))
-    return EnergyProfile(N=n, energy=energy, sums=vals, counts=counts)
+    n = len(seq)
+    half = sum(int(np.sum(c * c)) for _, c in _positive_difference_bands(seq.terms))
+    return EnergyProfile(N=n, energy=n * n + 2 * half, terms=np.sort(seq.terms))
 
 
 def difference_profile(seq: IntegerSequence) -> DifferenceProfile:
     """W(w) = #{i != j : a_i - a_j = w} for every nonzero difference w.
 
-    The N zero entries of the full difference table are exactly the
-    diagonal (terms are distinct), so dropping zeros removes i = j.
+    The positive half is counted band by band and mirrored, since
+    W(-w) = W(w); the values come out ascending.
     """
-    a = seq.terms
-    n = int(a.size)
-    diffs = (a[:, None] - a[None, :]).ravel()
-    diffs = diffs[diffs != 0]
-    diffs.sort(kind="stable")
-    vals, counts = _run_lengths(diffs)
-    return DifferenceProfile(N=n, values=vals, counts=counts)
+    empty = np.zeros(0, dtype=np.int64)
+    runs = list(_positive_difference_bands(seq.terms))
+    values = np.concatenate([empty] + [v for v, _ in runs])
+    counts = np.concatenate([empty] + [c for _, c in runs])
+    return DifferenceProfile(
+        N=len(seq),
+        values=np.concatenate([-values[::-1], values]),
+        counts=np.concatenate([counts[::-1], counts]),
+    )
+
+
+def difference_count(seq: IntegerSequence, w: int) -> int:
+    """W(w) = #{i != j : a_i - a_j = w}, by one sorted search.
+
+    Equals difference_profile(seq).count(w) without building the
+    profile: 0 for w = 0 and for |w| beyond the span of the terms.
+    """
+    u = _sorted_offsets(seq.terms)
+    w = abs(w)
+    span = int(u[-1])
+    if w == 0 or w > span:
+        return 0
+    # only u_i <= span - w can reach a term; then u_i + w <= span
+    want = u[: np.searchsorted(u, np.uint64(span - w), side="right")] + np.uint64(w)
+    return int(np.count_nonzero(u[np.searchsorted(u, want)] == want))
 
 
 def difference_energy(profile: DifferenceProfile) -> int:
     """sum_w W(w)^2: ordered quadruples with equal nonzero differences.
 
-    Always at most the additive energy (the quadruples with i != j,
-    k != l and a_i - a_j = a_k - a_l biject into the defining count).
+    Equals the additive energy minus N^2: a_i + a_j = a_k + a_l exactly
+    when a_i - a_k = a_l - a_j, and the N^2 quadruples with i = k (so
+    j = l) are the ones with difference zero.
     """
     return int(np.sum(profile.counts * profile.counts))
 

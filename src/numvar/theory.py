@@ -26,7 +26,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .energy import difference_profile
+from .energy import difference_count, difference_profile
 from .errors import BudgetError
 from .fixedpoint import FixedPointReal
 from .sequences import IntegerSequence, SequenceSpec, dilate_mod1, generate_sequence, sample_alpha
@@ -151,16 +151,15 @@ def fourier_coefficient(seq: IntegerSequence, k: int, params: WindowParams) -> F
 
     Equals (L/N^2) * sum over nonzero integers n and profile differences
     w with n*w = k of W(w) * tent_fourier(ell n).  Only divisors n of k
-    contribute, so the sum is finite and exact.
+    contribute, so the sum is finite and exact; each W(+-w) = W(|w|)
+    comes from one sorted search over the terms.
     """
     if k == 0:
         raise ValueError("k must be nonzero")
-    profile = difference_profile(seq)
     n = params.N
     total = 0.0
     for div in _positive_divisors(k):
-        w = k // div
-        mult = profile.count(w) + profile.count(-w)
+        mult = 2 * difference_count(seq, k // div)
         if mult:
             total += mult * tent_fourier(params.ell * div)
     value = (params.L / (n * n)) * total

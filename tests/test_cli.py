@@ -10,6 +10,7 @@ import sys
 
 import pytest
 
+import numvar.harness as harness
 from numvar import rows_from_csv
 from numvar.cli import main
 
@@ -134,9 +135,13 @@ def test_energy_table(capsys):
     assert [row["energy"] for row in table] == [120, 496, 2016]  # 2N^2 - N
 
 
-def test_energy_budget_exit_code(capsys):
+def test_energy_budget_exit_code(capsys, monkeypatch):
+    def never(*args):
+        raise AssertionError("sequence generated before the budget check")
+
+    monkeypatch.setattr(harness, "generate_sequence", never)
     code, _, err = run_cli(
-        capsys, "energy", "--seq", "monomial:d=2", "--schedule", "n=9000",
+        capsys, "energy", "--seq", "monomial:d=2", "--schedule", "n=64,9000",
     )
     assert code == 3
     assert "budget" in err

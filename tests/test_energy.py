@@ -1,25 +1,30 @@
 """Additive energy, difference profiles, and gcd-sum diagnostics.
 
 The primary oracle is quadruple counting done a different way: the
-library sorts pair sums and squares run lengths, so the tests compare
-against an explicit N^2 x N^2 equality count and against closed forms
-(arithmetic progressions, Sidon sets) that are provable by hand.
+library counts positive differences band by band and squares their
+multiplicities, so the tests compare against an explicit N^2 x N^2
+equality count, against the full difference table, and against closed
+forms (arithmetic progressions, Sidon sets) that are provable by hand.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from numvar import (
     BudgetError,
     SequenceSpec,
     additive_energy,
+    difference_count,
     difference_energy,
     difference_profile,
     gcd_sum_diagnostic,
     generate_sequence,
 )
+from numvar import energy
 
 
 MIAN_CHOWLA_8 = [1, 2, 4, 8, 13, 21, 31, 45]  # greedy Sidon set
@@ -52,8 +57,24 @@ def test_energy_profile_multiplicities():
     assert [prof.multiplicity(s) for s in (2, 3, 4, 5, 6)] == [1, 2, 3, 2, 1]
     assert prof.multiplicity(7) == 0
     assert prof.N == 3
-    assert sum(c for _, c in prof.items()) == 9  # all ordered pairs
-    assert sum(c * c for _, c in prof.items()) == prof.energy
+    r = [prof.multiplicity(s) for s in range(2 * 1, 2 * 3 + 1)]
+    assert sum(r) == 9  # all ordered pairs
+    assert sum(c * c for c in r) == prof.energy
+
+
+def test_energy_multiplicities_sum_to_pairs_and_energy():
+    rng = np.random.default_rng(3)
+    for _ in range(10):
+        n = int(rng.integers(1, 25))
+        vals = [int(v) for v in rng.choice(np.arange(-60, 60), size=n, replace=False)]
+        prof = additive_energy(seq_of(vals))
+        r = [prof.multiplicity(s) for s in range(2 * min(vals), 2 * max(vals) + 1)]
+        assert sum(r) == n * n
+        assert sum(c * c for c in r) == prof.energy
+    top = seq_of([-(2**62 - 1), 0, 2**62 - 1])
+    prof = additive_energy(top)
+    assert prof.multiplicity(0) == 3 and prof.multiplicity(2**63 - 2) == 1
+    assert prof.multiplicity(2**63) == 0 and prof.multiplicity(-(2**64)) == 0
 
 
 def test_energy_matches_quadruple_oracle():
@@ -146,7 +167,8 @@ def test_difference_energy_never_exceeds_additive_energy():
         n = int(rng.integers(2, 40))
         vals = sorted(int(v) for v in set(rng.integers(0, 10**4, size=3 * n)))[:n]
         s = seq_of(vals)
-        assert difference_energy(difference_profile(s)) <= additive_energy(s).energy
+        e = additive_energy(s).energy
+        assert difference_energy(difference_profile(s)) == e - n * n
 
 
 def test_energy_exponent_decreases_for_squares():
@@ -159,6 +181,82 @@ def test_energy_exponent_decreases_for_squares():
         exps.append(math.log(e) / math.log(n))
     assert all(a > b for a, b in zip(exps, exps[1:]))
     assert exps[-1] < 2.5
+
+
+# ---------------------------------------------------------------------------
+# band kernel: tiny bands split the positive half across many bands
+# ---------------------------------------------------------------------------
+
+TOP = 2**62 - 1  # largest term magnitude a sequence accepts
+
+band_settings = settings(derandomize=True, max_examples=200, deadline=None, database=None)
+
+
+def full_table_profile(values):
+    """np.unique over the full N^2 difference table, zeros dropped."""
+    a = np.array(values, dtype=object)  # Python ints: the span reaches 2^63
+    diffs = [int(x) for x in (a[:, None] - a[None, :]).ravel() if x != 0]
+    vals, counts = np.unique(np.array(diffs, dtype=object), return_counts=True)
+    return [int(v) for v in vals], [int(c) for c in counts]
+
+
+def band_inputs():
+    small = st.lists(st.integers(-40, 40), min_size=1, max_size=14, unique=True)
+    wide = st.lists(st.integers(-TOP, TOP), min_size=1, max_size=8, unique=True)
+    ap = st.builds(
+        lambda start, step, n: [start + step * i for i in range(n)],
+        st.integers(-1000, 1000), st.integers(1, 9), st.integers(1, 16),
+    )
+    edges = st.lists(
+        st.sampled_from([-TOP, -TOP + 1, -1, 0, 1, TOP - 1, TOP]),
+        min_size=1, max_size=7, unique=True,
+    )
+    return st.one_of(small, wide, ap, edges)
+
+
+@band_settings
+@given(values=band_inputs(), band=st.sampled_from([1, 2, 3, 7]))
+@example(values=[1, 2, 4, 8, 13, 21, 31, 45], band=1)  # Sidon
+@example(values=list(range(-30, 0)), band=2)  # one long run: W(1) = 29
+@example(values=[-TOP, TOP], band=1)
+@example(values=[-TOP, -TOP + 1, TOP - 1, TOP], band=3)
+@example(values=[5], band=1)
+def test_band_kernel_matches_full_table(values, band):
+    s = seq_of(values)
+    n = len(values)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(energy, "_BAND_ENTRIES", band)
+        prof = difference_profile(s)
+        e = additive_energy(s).energy
+    want_vals, want_counts = full_table_profile(values)
+    assert prof.values.dtype == np.int64 and prof.counts.dtype == np.int64
+    assert [int(v) for v in prof.values] == want_vals
+    assert [int(c) for c in prof.counts] == want_counts
+    if max(abs(v) for v in values) < 2**31:
+        assert e == quadruple_count_oracle(values)
+    else:
+        sums = [x + y for x in values for y in values]
+        assert e == sum(sums.count(t) for t in sums)
+    assert e == n * n + sum(c * c for c in want_counts)
+    for w in set(want_vals) | {1, 2, TOP, 2**63 - 2}:
+        assert difference_count(s, w) == dict(zip(want_vals, want_counts)).get(w, 0)
+
+
+@band_settings
+@given(values=band_inputs())
+def test_bands_never_exceed_band_size(values):
+    # a band holds at most _BAND_ENTRIES entries unless one value alone
+    # has more; the bands tile the positive half in ascending order
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(energy, "_BAND_ENTRIES", 3)
+        runs = list(energy._positive_difference_bands(np.array(values, dtype=np.int64)))
+    n = len(values)
+    assert sum(int(c.sum()) for _, c in runs) == n * (n - 1) // 2
+    flat = [int(w) for vals, _ in runs for w in vals]
+    assert flat == sorted(set(flat)) and all(w > 0 for w in flat)
+    for vals, counts in runs:
+        assert vals.size >= 1
+        assert int(counts.sum()) <= 3 or vals.size == 1
 
 
 # ---------------------------------------------------------------------------

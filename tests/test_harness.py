@@ -345,9 +345,15 @@ def test_energy_sweep_values_and_csv():
     assert len(lines) == 5  # header + 3 rows + trailing empty
 
 
-def test_energy_sweep_budget():
-    with pytest.raises(BudgetError):
-        run_energy_sweep(make_config(schedule=((1 << 13) + 1,)))
+def test_energy_sweep_budget(monkeypatch):
+    # the cap is checked before any sequence is generated, also when a
+    # smaller N comes first in the schedule
+    def never(*args):
+        raise AssertionError("sequence generated before the budget check")
+
+    monkeypatch.setattr(harness, "generate_sequence", never)
+    with pytest.raises(BudgetError, match="N <= 8192"):
+        run_energy_sweep(make_config(schedule=(64, harness.MAX_ENERGY_N + 1)))
 
 
 def test_energy_sweep_generation_error():

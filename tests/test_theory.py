@@ -19,6 +19,7 @@ from numvar import (
     WindowParams,
     centered_statistic,
     deviation_measure,
+    difference_profile,
     fourier_coefficient,
     generate_sequence,
     lemma1_check,
@@ -192,6 +193,35 @@ def test_coefficient_even_in_k():
     for k in (1, 4, 9, 30):
         assert (fourier_coefficient(seq, k, params).value
                 == fourier_coefficient(seq, -k, params).value)
+
+
+def profile_coefficient(seq, k, params):
+    """The divisor sum read off the full difference profile."""
+    profile = difference_profile(seq)
+    total = 0.0
+    for div in range(1, abs(k) + 1):
+        if k % div == 0:
+            mult = profile.count(k // div) + profile.count(-(k // div))
+            if mult:
+                total += mult * tent_fourier(params.ell * div)
+    return (params.L / (params.N * params.N)) * total
+
+
+def test_coefficient_matches_profile_divisor_sum():
+    rng = np.random.default_rng(41)
+    for _ in range(8):
+        n = int(rng.integers(2, 40))
+        vals = [int(v) for v in rng.choice(np.arange(-120, 120), size=n, replace=False)]
+        seq = seq_of(vals)
+        params = WindowParams.from_beta(n, float(rng.uniform(0.1, 0.9)))
+        span = max(vals) - min(vals)
+        for k in [*range(1, 201), *range(-200, 0), span + 1, -(span + 1), 3 * span + 7]:
+            assert fourier_coefficient(seq, k, params).value == profile_coefficient(seq, k, params)
+    # k beyond the span: no difference divides into it with n = 1
+    seq = seq_of([0, 3, 10])
+    params = WindowParams.from_beta(3, 0.5)
+    assert fourier_coefficient(seq, 11, params).value == 0.0
+    assert fourier_coefficient(seq, 20, params).value == profile_coefficient(seq, 20, params) != 0.0
 
 
 def test_coefficient_k_zero_rejected():
