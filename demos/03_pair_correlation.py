@@ -4,9 +4,9 @@
 R2(f) averages f((x_i - x_j)/ell) over ordered pairs of dilated points.
 The direct route slides a window along the sorted circle; the spectral
 route expands f in frequencies and truncates with an explicit bound
-2 N^2 / (pi^2 L M).  Halving the tolerance must never move the answer
-by more than the old tolerance; the two routes must agree to the
-declared bound everywhere.
+no larger than 2 N(N-1) / (pi^2 L M).  Halving the tolerance must never
+move the answer by more than the old tolerance; the two routes must
+agree to the declared bound everywhere.
 """
 
 import numpy as np

@@ -27,7 +27,7 @@ from numpy.random import Philox
 
 from .energy import additive_energy
 from .energy import difference_profile  # unused here; perfbench/tracing.py wraps this binding
-from .errors import BudgetError, ConfigError
+from .errors import BudgetError, ConfigError, NumvarError
 from .fixedpoint import FixedPointReal, join
 from .sequences import (
     IntegerSequence,
@@ -47,6 +47,9 @@ from . import theory
 
 MAX_N = 10**6
 MAX_ALPHA_SAMPLES = 10**4
+# Monte Carlo centers per cell; a counting cell holds about 48 bytes per
+# center, so 480 MB at the cap
+MAX_MC_SAMPLES = 10**7
 # energy sweep ceiling: O(N^2 log N) time per N; memory is bounded by
 # the difference band, not by N
 MAX_ENERGY_N = 1 << 13
@@ -133,12 +136,16 @@ class ExperimentConfig:
             raise ConfigError("delta must be positive")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        if self.mc_samples is not None and self.mc_samples < 2:
+            raise ConfigError("mc must be 0 (the exact route) or >= 2")
         if max(self.schedule) > MAX_N:
             raise BudgetError("schedule N=%d exceeds budget %d" % (max(self.schedule), MAX_N))
         if self.alpha_samples > MAX_ALPHA_SAMPLES:
             raise BudgetError(
                 "alpha_samples=%d exceeds budget %d" % (self.alpha_samples, MAX_ALPHA_SAMPLES)
             )
+        if self.mc_samples is not None and self.mc_samples > MAX_MC_SAMPLES:
+            raise BudgetError("mc=%d exceeds budget %d" % (self.mc_samples, MAX_MC_SAMPLES))
 
     @property
     def regime_flag(self) -> bool:
@@ -199,7 +206,7 @@ def config_from_mapping(mapping: Dict[str, str]) -> ExperimentConfig:
         alpha_samples=_get("alphas", int, 100),
         seed=_get("seed", int, 0),
         delta=_get("delta", float, 0.25),
-        mc_samples=mc if mc > 0 else None,
+        mc_samples=mc or None,  # 0 is the exact route; validate() rejects < 0 and 1
         tol=_get("tol", float, 1e-6),
         workers=_get("workers", int, 1),
     )
@@ -333,7 +340,9 @@ def run_variance_experiment(
                 sequences[n_value], params_by_n[n_value], cfg.seed, idx, cfg.mc_samples
             )
         except Exception as exc:
-            raise RuntimeError(
+            # keep the error class, so the CLI still maps it to its exit code
+            mapped = isinstance(exc, (NumvarError, ValueError, OverflowError))
+            raise (type(exc) if mapped else RuntimeError)(
                 "variance cell failed at N=%d sample=%d: %s" % (n_value, idx, exc)
             ) from exc
 

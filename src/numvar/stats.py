@@ -29,11 +29,17 @@ numerators.  It costs O(N log N) per knot of f whatever ell and the
 support radius are, and its result is exact until the one final
 rounding to float.
 
+The Monte Carlo route sorts its random centers once by their high word
+and counts them in fixed blocks of 2**15, so the rank queries of each
+block come in ascending order and its temporaries stay small; the
+counts go back to draw order before they are reduced, so the estimate
+is the same float as counting the centers as drawn.
+
 The spectral route (pair_correlation_fourier, and through it
 number_variance_fourier) sums |T_n|^2 over 1 <= n <= M in fixed chunks
 of 2**16 phases, so a chunk stays in cache and the reduction order is
 fixed.  M is the least truncation point at which a rigorous tail bound
-is <= tol: the smallest of the trivial bound ||T_n|^2 - N| <= N^2 and
+is <= tol: the smallest of the trivial bound ||T_n|^2 - N| <= N(N-1) and
 the large sieve at two spacings, the least circular gap delta of the
 dilated points (Montgomery-Vaughan) and 1/(4N) with the number of
 pairs closer than that, both taken exactly from the numerators.  Both
@@ -81,6 +87,10 @@ FOURIER_TERM_CEILING = 10**9
 # Phases per chunk of the spectral kernel: a fixed constant, so reductions
 # are order-deterministic, and small enough that a chunk stays in cache.
 _PHASE_CHUNK_ENTRIES = 1 << 16
+
+# Monte Carlo centers per counting block: rank queries on sorted keys run
+# several times faster, and a block's word temporaries stay small.
+_CENTER_BLOCK = 1 << 15
 
 
 # ---------------------------------------------------------------------------
@@ -429,14 +439,24 @@ def number_variance_montecarlo(
     estimate = mean((S - L)^2), stderr = sd((S - L)^2)/sqrt(samples).
     Centers come from a counter-based stream, so the estimate is a pure
     function of (points, params, samples, seed).
+
+    The centers are sorted once by their high word and counted in fixed
+    blocks of _CENTER_BLOCK, so each block's rank queries arrive in
+    ascending order and its temporaries stay small.  The counts are
+    scattered back to draw order before the reduction, so the result is
+    the same float as counting the centers as drawn.
     """
     _check_points(points, params)
     if samples < 2:
         raise ValueError("samples must be >= 2")
     raw = Philox(key=seed % (1 << 128), counter=[0, 0, 0, _CENTER_STREAM]).random_raw(2 * samples)
-    c_hi = raw[0::2]
-    c_lo = raw[1::2]
-    counts = _window_counts(points, params, c_hi, c_lo)
+    order = np.argsort(raw[0::2])
+    c_hi, c_lo = raw[0::2][order], raw[1::2][order]
+    del raw
+    counts = np.empty(samples, dtype=np.int64)
+    for start in range(0, samples, _CENTER_BLOCK):
+        block = slice(start, start + _CENTER_BLOCK)
+        counts[order[block]] = _window_counts(points, params, c_hi[block], c_lo[block])
     y = (counts.astype(np.float64) - params.L) ** 2
     estimate = float(np.mean(y))
     stderr = float(np.std(y, ddof=1) / math.sqrt(samples))
@@ -502,8 +522,9 @@ def pair_correlation_fourier(
     is at most (2/(pi^2 L)) * sum_{n>M} ||T_n|^2 - N| / n^2.  Bounds on
     it:
 
-    - trivial: ||T_n|^2 - N| <= N^2 and sum_{n>M} 1/n^2 <= 1/M give
-      2*N^2/(pi^2*L*M);
+    - trivial: |T_n|^2 - N lies in [-N, N^2 - N], so for N >= 2
+      ||T_n|^2 - N| <= N(N-1), and sum_{n>M} 1/n^2 <= 1/M gives
+      2*N(N-1)/(pi^2*L*M);
     - large sieve with near pairs: for any K consecutive n and
       0 < d <= 1/2, sum |T_n|^2 <= (K - 1 + 1/d) * P(d), where P(d)
       counts the ordered pairs (j, k), j = k included, at circular
@@ -577,7 +598,7 @@ def _truncation_point(n_pts: int, L: float, tol: float, gap: int, pairs: int):
     scale = 2.0 / (math.pi**2 * L)
 
     def trivial(m: int) -> float:
-        return 2.0 * n_pts * n_pts / (math.pi**2 * L * m)
+        return 2.0 * n_pts * (n_pts - 1) / (math.pi**2 * L * m)
 
     def sieve(m: int, inv_d: int, p: int) -> float:
         m1 = m + 1.0  # m1 * m1 goes to inf where ** would raise, far past any ceiling
@@ -587,7 +608,7 @@ def _truncation_point(n_pts: int, L: float, tol: float, gap: int, pairs: int):
         near = sieve(m, -(-MODULUS // _close_spacing(n_pts)), p)
         return min(near, sieve(m, -(-MODULUS // gap), n_pts)) if gap else near
 
-    m_real = 2.0 * n_pts * n_pts / (math.pi**2 * L * tol)
+    m_real = 2.0 * n_pts * (n_pts - 1) / (math.pi**2 * L * tol)
     if not math.isfinite(m_real):
         raise BudgetError("tol %g too small: the truncation point overflows" % tol)
     m_trivial = max(1, math.ceil(m_real))

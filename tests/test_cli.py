@@ -11,7 +11,7 @@ import sys
 import pytest
 
 import numvar.harness as harness
-from numvar import rows_from_csv
+from numvar import WindowError, rows_from_csv
 from numvar.cli import main
 
 
@@ -153,6 +153,35 @@ def test_energy_generation_error_exit_code(capsys):
     )
     assert code == 2
     assert "config error" in err
+
+
+def test_bad_mc_exit_codes(capsys, monkeypatch):
+    # checked before any sequence is generated: -5 and 1 are config
+    # errors (exit 2), above the cap a budget error (exit 3)
+    def never(*args):
+        raise AssertionError("sequence generated before the mc check")
+
+    monkeypatch.setattr(harness, "generate_sequence", never)
+    for mc, code_want, word in (("-5", 2, "config error"), ("1", 2, "config error"),
+                                (str(harness.MAX_MC_SAMPLES + 1), 3, "budget")):
+        code, out, err = run_cli(
+            capsys, "variance", "--seq", "monomial:d=2", "--schedule", "n=25", "--mc", mc,
+        )
+        assert (code, out) == (code_want, "")
+        assert word in err and "mc" in err
+
+
+def test_failed_cell_keeps_exit_code(capsys, monkeypatch):
+    # a cell error reaches main() as its own class, with N and sample
+    def boom(*args):
+        raise WindowError("synthetic fault")
+
+    monkeypatch.setattr(harness, "number_variance_exact", boom)
+    code, out, err = run_cli(
+        capsys, "variance", "--seq", "monomial:d=2", "--schedule", "n=25", "--alphas", "2",
+    )
+    assert (code, out) == (2, "")
+    assert "N=25 sample=0: synthetic fault" in err
 
 
 # ---------------------------------------------------------------------------

@@ -282,6 +282,20 @@ def test_sort_words_rational_alpha_matches_lexsort():
         assert np.array_equal(fp.argsort_words(hi, lo), np.lexsort((lo, hi)))
 
 
+def test_sort_words_long_tied_runs_match_lexsort():
+    # the high-word sort is unstable, so every run of equal high words must
+    # come back in (low word, input index) order: alpha = 0 puts 10**5 points
+    # in one run, and long runs of fully equal words arrive scrambled
+    terms = np.arange(1, 10**5 + 1, dtype=np.int64)
+    hi, lo = fp.mul_words(0, terms)
+    assert np.array_equal(fp.argsort_words(hi, lo), np.arange(10**5))
+    rng = np.random.default_rng(44)
+    nums = [(h << 64) | l for h in (0, 7, M64) for l in (0, 5, M64)] + [3 << 64]
+    picks = rng.integers(0, len(nums), 20000)
+    hi, lo = fp.to_words([nums[i] for i in picks])
+    assert np.array_equal(fp.argsort_words(hi, lo), np.lexsort((lo, hi)))
+
+
 def test_rank_words_many_tie_blocks():
     # 1500 runs of equal high words, each queried inside its run
     rng = np.random.default_rng(3)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import numvar.harness as harness
+from numvar import stats
 from numvar import (
     BudgetError,
     ConfigError,
@@ -166,6 +167,28 @@ def test_config_mapping_mc_zero_means_exact():
     assert cfg.mc_samples == 500
 
 
+def test_bad_mc_fails_before_generation(monkeypatch):
+    # mc < 0 and mc = 1 are config errors, mc above the cap a budget
+    # error, all raised before any sequence is generated
+    def never(*args):
+        raise AssertionError("sequence generated before the mc check")
+
+    monkeypatch.setattr(harness, "generate_sequence", never)
+    base = {"seq": "monomial:d=2", "schedule": "n=10"}
+    for mc in ("-5", "1"):
+        with pytest.raises(ConfigError, match="mc"):
+            config_from_mapping(dict(base, mc=mc))
+        with pytest.raises(ConfigError, match="mc"):
+            run_variance_experiment(make_config(mc_samples=int(mc)))
+    too_many = str(harness.MAX_MC_SAMPLES + 1)
+    with pytest.raises(BudgetError, match="mc"):
+        config_from_mapping(dict(base, mc=too_many))
+    with pytest.raises(BudgetError, match="mc"):
+        run_variance_experiment(make_config(mc_samples=int(too_many)))
+    at_cap = config_from_mapping(dict(base, mc=str(harness.MAX_MC_SAMPLES)))
+    assert at_cap.mc_samples == harness.MAX_MC_SAMPLES
+
+
 # ---------------------------------------------------------------------------
 # experiment rows and CSV
 # ---------------------------------------------------------------------------
@@ -227,14 +250,16 @@ def test_worker_count_does_not_change_bytes_exact():
 
 
 def test_worker_count_does_not_change_bytes_montecarlo():
+    # more than two counting blocks of centers per cell
+    mc = 2 * stats._CENTER_BLOCK + 1000
     one = rows_to_csv(
         run_variance_experiment(
-            make_config(alpha_samples=6, mc_samples=2000)
+            make_config(alpha_samples=6, mc_samples=mc)
         )[0]
     )
     three = rows_to_csv(
         run_variance_experiment(
-            make_config(alpha_samples=6, mc_samples=2000, workers=3)
+            make_config(alpha_samples=6, mc_samples=mc, workers=3)
         )[0]
     )
     assert one == three
@@ -273,7 +298,8 @@ def test_cell_failure_carries_location(monkeypatch):
     real = harness.number_variance_exact
     monkeypatch.setattr(harness, "number_variance_exact", boom)
     cfg = make_config(schedule=(16, 25), alpha_samples=2)
-    with pytest.raises(RuntimeError, match="N=25 sample=0"):
+    # the error keeps its class, so the CLI maps it to its exit code
+    with pytest.raises(ValueError, match="N=25 sample=0: synthetic fault"):
         run_variance_experiment(cfg)
 
 

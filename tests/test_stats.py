@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from numpy.random import Philox
 
 from numvar import (
     BudgetError,
@@ -389,6 +390,45 @@ def test_montecarlo_agrees_with_exact_within_stderr():
     assert hits >= 9
 
 
+def montecarlo_oracle(points, params, samples, seed):
+    """The Monte Carlo estimate with every center counted in draw order."""
+    raw = Philox(key=seed % (1 << 128), counter=[0, 0, 0, stats._CENTER_STREAM]).random_raw(
+        2 * samples)
+    counts = stats._window_counts(points, params, raw[0::2], raw[1::2])
+    y = (counts.astype(np.float64) - params.L) ** 2
+    return float(np.mean(y)), float(np.std(y, ddof=1) / math.sqrt(samples))
+
+
+def test_montecarlo_blocks_match_draw_order_oracle(monkeypatch):
+    # sorted centers counted block by block give the same floats as the
+    # centers counted as drawn: at block edges, with small blocks, with
+    # windows that wrap (ell = 0.7), the full circle (ell = 1), tied
+    # points (alpha = 1/8 puts the squares on three points) and one point
+    seq = generate_sequence(SequenceSpec.monomial(2), 300)
+    generic = dilate_mod1(sample_alpha(17, 0), seq)
+    tied = dilate_mod1(FixedPointReal.from_fraction(1, 8), seq)
+    assert len(set(tied.numerator(i) for i in range(300))) < 300
+    cases = [(generic, WindowParams.from_beta(300, 0.3)),
+             (generic, WindowParams.from_L(300, 210.0)),
+             (tied, WindowParams.from_beta(300, 0.4)),
+             (generic, WindowParams.from_L(300, 300.0)),
+             (PointSet.from_floats([0.99]), WindowParams.from_L(1, 0.25))]
+    assert cases[3][1].ell_numerator >= MODULUS
+
+    def check(samples, seed):
+        for points, params in cases:
+            got = number_variance_montecarlo(points, params, samples, seed)
+            assert (got.sigma2, got.mc_stderr) == montecarlo_oracle(points, params, samples, seed)
+
+    block = stats._CENTER_BLOCK
+    for samples in (block - 1, block, block + 1, 3 * block + 5):
+        check(samples, seed=samples)
+    for small in (1, 2, 7):
+        monkeypatch.setattr(stats, "_CENTER_BLOCK", small)
+        for samples in (2, 3, small + 1, 3 * small + 5, 200):
+            check(samples, seed=small * 1000 + samples)
+
+
 def test_montecarlo_needs_two_samples():
     pts = PointSet.from_floats([0.5])
     params = WindowParams.from_L(1, 0.5)
@@ -575,7 +615,7 @@ def test_fourier_two_point_closed_form():
     params = WindowParams.from_beta(2, 0.4)
     tol = 1e-8
     got = pair_correlation_fourier(seq, alpha, params, tol)
-    m_terms = max(1, math.ceil(2.0 * 4 / (math.pi**2 * params.L * tol)))
+    m_terms, _ = trivial_truncation(2, params.L, tol)
     nn = np.arange(1, m_terms + 1, dtype=np.float64)
     series = np.sum(np.sinc(params.ell * nn) ** 2 * 2.0 * np.where(nn % 2 == 0, 1.0, -1.0))
     want = params.L - params.L / 2 + (2.0 * params.L / 4) * series
@@ -615,9 +655,9 @@ def test_fourier_halving_tol_moves_less_than_old_tol():
 
 
 def trivial_truncation(n, L, tol):
-    """M and bound of the trivial tail rule ||T_n|^2 - N| <= N^2."""
-    m_terms = max(1, math.ceil(2.0 * n * n / (math.pi**2 * L * tol)))
-    return m_terms, 2.0 * n * n / (math.pi**2 * L * m_terms)
+    """M and bound of the trivial tail rule ||T_n|^2 - N| <= N(N-1)."""
+    m_terms = max(1, math.ceil(2.0 * n * (n - 1) / (math.pi**2 * L * tol)))
+    return m_terms, 2.0 * n * (n - 1) / (math.pi**2 * L * m_terms)
 
 
 def test_large_sieve_inequality_numeric():
@@ -705,7 +745,7 @@ def test_fourier_truncation_never_exceeds_trivial():
         def smallest(m, p):  # the least tail bound at M = m, with P(1/(4N)) = p
             scale = 2.0 / (math.pi**2 * L)
             excess = -(-MODULUS // (MODULUS // (4 * n))) - 1  # ceil(1/d) - 1
-            bounds = [2.0 * n * n / (math.pi**2 * L * m),
+            bounds = [2.0 * n * (n - 1) / (math.pi**2 * L * m),
                       scale * ((p + n) / m + excess * p / (m + 1) ** 2)]
             if gap:
                 excess = -(-MODULUS // gap) - 1  # ceil(1/delta) - 1
