@@ -168,6 +168,11 @@ def _cmd_coeffs(args: argparse.Namespace, defaults: Dict[str, str]) -> int:
     cfg = _merge_config(args, defaults)
     if args.kmax < 1:
         raise ConfigError("--kmax must be >= 1")
+    if len(cfg.schedule) != 1:
+        raise ConfigError(
+            "coeffs takes one N, the schedule gives %d: %s"
+            % (len(cfg.schedule), ",".join(map(str, cfg.schedule)))
+        )
     n_value = cfg.schedule[0]
     seq = generate_sequence(cfg.seq, n_value)
     params = WindowParams.from_beta(n_value, cfg.beta)

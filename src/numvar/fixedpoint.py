@@ -336,13 +336,6 @@ def dot_words(c: np.ndarray, words: np.ndarray) -> List[int]:
     return sums
 
 
-def tie_starts(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
-    """rank_words(hi, lo, hi, lo) for sorted words, in O(n): each value's first index."""
-    new = np.ones(hi.size, dtype=bool)
-    new[1:] = (hi[1:] != hi[:-1]) | (lo[1:] != lo[:-1])
-    return np.maximum.accumulate(np.where(new, np.arange(hi.size), 0))
-
-
 def phase_top_bits(nn: np.ndarray, u_hi: np.ndarray, u_lo: np.ndarray) -> np.ndarray:
     """Top 64 bits of (n * u) mod 2**128 as floats in [0, 1], one row per n.
 

@@ -625,6 +625,9 @@ def run_verification_suite(
     unknown = wanted - set(_SUITE_NAMES)
     if unknown:
         raise ConfigError("unknown suites: %s" % ", ".join(sorted(unknown)))
+    for name, count in (("trials", trials), ("instances", instances)):
+        if count < 1:
+            raise ConfigError("%s must be >= 1, got %d" % (name, count))
     if tol <= 0 or not math.isfinite(tol):
         raise BudgetError(
             "tol must be positive: every truncated check would need "

@@ -21,13 +21,18 @@ which doubles as the module's master self-test.
 Counting conventions: windows are half-open [c - ell/2, c + ell/2), and
 membership is decided on exact 128-bit numerators, never on floats.
 The pair sums (number_variance_exact, pair_correlation_direct) share one
-kernel: every tent, indicator or tabulated f is piecewise linear, so a
-row's sum over each piece is a count plus a first moment over a window
-of the sorted, unrolled circle, read off exact rank queries, prefix
-sums of rank counts and one exact integer dot product with the
-numerators.  It costs O(N log N) per knot of f whatever ell and the
-support radius are, and its result is exact until the one final
-rounding to float.
+kernel.  It counts every pair once, from the point that comes first on
+the sorted, unrolled circle, at a distance D >= 0, so it sums
+g(t) = f(t) + f(-t) over forward pairs only; equal points are forward
+pairs at D = 0.  Every tent, indicator or tabulated f is piecewise
+linear, and so is g, so a row's sum over each piece of g is a count
+plus a first moment over a window of the unrolled circle, read off
+exact rank queries, prefix sums of rank counts and one exact integer
+dot product with the numerators.  A window that starts at D = 0 starts
+at the next point and needs no query: the tent folds to the one window
+0 <= D <= ell, so it costs one rank query per point.  The kernel costs
+O(N log N) per knot of g whatever ell and the support radius are, and
+its result is exact until the one final rounding to float.
 
 The Monte Carlo route sorts its random centers once by their high word
 and counts them in fixed blocks of 2**15, so the rank queries of each
@@ -74,7 +79,6 @@ from .fixedpoint import (
     mul_words,
     phase_top_bits,
     rank_words,
-    tie_starts,
     to_words,
 )
 from .sequences import IntegerSequence, PointSet
@@ -310,94 +314,135 @@ _TENT_PIECES = [(Fraction(-1), Fraction(0), False, Fraction(1), Fraction(1)),
 _INDICATOR_PIECES = [(Fraction(-1, 2), Fraction(1, 2), False, Fraction(1), Fraction(0))]
 
 
+def _folded_windows(f: TestFunction, scale: Fraction):
+    """g(D) = f(D/scale) + f(-D/scale) on the integers D >= 0, as windows.
+
+    Returns (den, windows): disjoint integer windows (A, B, u0, u1) with
+    g = (u0 + u1 * D / scale) / den on A <= D < B, and g = 0 off them.  A
+    piece of f that holds the differences E0 <= d < E1 gives its d >= 0
+    part as it is, on [max(E0, 0), E1) with (c0, c1), and its d <= 0 part
+    mirrored, on [max(1 - E1, 0), 1 - E0) with (c0, -c1), so D = 0 gets
+    f(0) from both sides.  The parts are summed between cuts, zero windows
+    dropped, and neighbours joined where they are one line: equal
+    coefficients, or a window of one D whose value lies on the next
+    window's line (so the tent is one window, [0, floor(scale) + 1) with
+    g = 2 - 2D/scale).
+    """
+    pieces = _linear_pieces(f)
+    den = math.lcm(*(c.denominator for piece in pieces for c in piece[3:]))
+    s_num, s_den = scale.numerator, scale.denominator
+    parts = []
+    for a, b, closed, c0, c1 in pieces:
+        e0 = -(-a.numerator * s_num // (a.denominator * s_den))
+        e1 = b.numerator * s_num // (b.denominator * s_den)
+        if closed or e1 * b.denominator * s_den != b.numerator * s_num:
+            e1 += 1
+        u0, u1 = c0.numerator * (den // c0.denominator), c1.numerator * (den // c1.denominator)
+        parts += [(max(e0, 0), e1, u0, u1), (max(1 - e1, 0), 1 - e0, u0, -u1)]
+    parts = [p for p in parts if p[0] < p[1]]
+    cuts = sorted({e for p in parts for e in p[:2]})
+    windows = []
+    for a, b in zip(cuts, cuts[1:]):
+        u0 = sum(p[2] for p in parts if p[0] <= a and b <= p[1])
+        u1 = sum(p[3] for p in parts if p[0] <= a and b <= p[1])
+        if not (u0 or u1):
+            continue
+        if windows and windows[-1][1] == a:
+            a0, _, p0, p1 = windows[-1]
+            # one line, or a window of one D whose value lies on this line
+            joined = a - a0 == 1 and (p0 - u0) * s_num + (p1 - u1) * a0 * s_den == 0
+            if joined or (p0, p1) == (u0, u1):
+                windows[-1] = (a0, b, u0, u1)
+                continue
+        windows.append((a, b, u0, u1))
+    return den, windows
+
+
 def _pair_sum(points: PointSet, ell: float, f: TestFunction) -> Fraction:
     """Exact sum over ordered pairs i != j and shifts m of f((x_j - x_i + m)/ell).
 
     Row i sees the unrolled circle P(k) = p_(k mod N) + floor(k/N) * 2**128
-    (p the sorted numerators), and each linear piece of f is a count plus
-    a first moment of P(k) - p_i over a window of k.  A window end p_i + e,
-    with e the exact dyadic image of knot * ell rounded to the piece's
-    closed or open edge, sits at index K = q*N + r, r = rank(frac), of the
-    unrolled circle, so any support radius is exact.  With T = sum_j p_j,
+    (p the sorted numerators), and every ordered pair (i, j, m) is counted
+    once, from the end with the lower unrolled index: in row i at
+    k = j + m*N > i, or in row j at i - m*N > j.  Both have the same
+    D = P(k) - p_i >= 0 and stand for the differences D and -D, so
+
+        sum_{i != j, m} f(d/S) = sum_i sum_{k > i} g(D/S),  g(t) = f(t) + f(-t),
+
+    S the exact image of ell, less the self pairs k = i + s*N (s >= 1),
+    which are taken out per window.  Equal numerators sit at k > i with
+    D = 0 and need no separate handling.  Over each window A <= D < B
+    of _folded_windows, g is linear, so row i needs a count and a first
+    moment of P(k) - p_i over K(A) <= k < K(B).  K(0) = i + 1; an end
+    e > 0 sits at K = q*N + r, r = rank(p_i + e mod 2**128), q the turns,
+    so any support radius is exact.  With T = sum_j p_j,
 
         sum_{k<K} P(k) = q*T + sum_{j<r} p_j + 2**128 * (N*q*(q-1)/2 + r*q),
 
-    and summed over rows the prefix sums become sum_j p_j * #{i : r_i > j},
-    a prefix sum of rank counts.  Those counts and the window counts c_i
-    (for the correction sum_i c_i * p_i) meet the numerators in one exact
-    dot product; self pairs (i, i, m) are taken out per piece.  All knots
-    of f go through each step together: O(N log N) per knot, independent
-    of ell, for fewer than 2**31 points.
+    and summed over rows the prefix sums become sum_j p_j * (#{i : r_i > j}
+    + sum_i q_i), a prefix sum of rank counts; for K = i + 1 the weight is
+    N - j.  Those weights and the window counts c_i (for the correction
+    sum_i c_i * p_i) meet the numerators in one exact dot product.  The
+    tent is one window on [0, S]: one rank query per point.  O(N log N)
+    per knot of g, independent of ell, for fewer than 2**31 points.
     """
     n = len(points)
     hi, lo = points.hi, points.lo
     scale = Fraction(ell) * MODULUS  # t = d / scale for a numerator difference d
-    pieces = _linear_pieces(f)
-    ends = [(math.ceil(a * scale), math.floor(b * scale) + 1 if closed else math.ceil(b * scale))
-            for a, b, closed, _, _ in pieces]
-    knots = sorted({e for end in ends for e in end})
-    if not knots:
+    den, windows = _folded_windows(f, scale)
+    if not windows:
         return Fraction(0)
+    knots = sorted({e for w in windows for e in w[:2]})
     # pair counts and unrolled indices must stay within int64
-    if (max(abs(e) for e in knots) // MODULUS + 2) * n * n >= 1 << 62:
+    if (knots[-1] // MODULUS + 2) * n * n >= 1 << 62:
         raise SupportError("support radius %g too wide for %d points" % (f.radius, n))
-    m = len(knots)
-    turns0 = [e // MODULUS for e in knots]
-    offsets = [e % MODULUS for e in knots]
-    moved = [i for i, e in enumerate(offsets) if e]
-    # rank of p_i + e mod 2**128 and its wrap (q = turns0 + wrap); offsets
-    # 0 rank the points themselves.  Rows are N long, so temporaries go early.
-    r = np.empty((m, n), dtype=np.int64)
-    wrap = np.zeros((m, n), dtype=bool)
-    v_hi, v_lo = add_words(hi, lo, [offsets[i] for i in moved])
-    wrap[moved] = less_words(v_hi, v_lo, hi, lo)
-    r[moved] = rank_words(hi, lo, v_hi.ravel(), v_lo.ravel()).reshape(-1, n)
+    lead = int(knots[0] == 0)  # K(0) = i + 1 needs no rank query
+    moved = knots[lead:]
+    turns0 = [e // MODULUS for e in moved]
+    # rank of p_i + e mod 2**128 and its wrap (q = turns0 + wrap); an end
+    # on a whole turn ranks the points themselves.  Rows are N long, so
+    # temporaries go early.
+    v_hi, v_lo = add_words(hi, lo, [e % MODULUS for e in moved])
+    r = rank_words(hi, lo, v_hi.ravel(), v_lo.ravel()).reshape(-1, n)
+    wraps = less_words(v_hi, v_lo, hi, lo).sum(axis=1).tolist()
     del v_hi, v_lo
-    r[[i for i, e in enumerate(offsets) if not e]] = tie_starts(hi, lo)
-    row_sums = list(zip(turns0, wrap.sum(axis=1).tolist(), r.sum(axis=1).tolist(),
-                        (r * wrap).sum(axis=1).tolist()))
-    k_index = wrap.astype(np.int64)
-    del wrap
-    k_index += np.array(turns0)[:, None]
-    k_index *= n
-    k_index += r
 
-    # weights for one exact dot with the numerators: 1 (for T), per knot
-    # #{i : r_i > j}, per piece the window counts c_i
+    # weights for one exact dot with the numerators: per knot the prefix
+    # weights, per window the counts c_i = K_i(B) - K_i(A)
     slot = {e: i for i, e in enumerate(knots)}
-    lower = [slot[e0] for e0, _ in ends]
-    upper = [slot[e1] for _, e1 in ends]
-    weights = np.empty((1 + m + len(ends), n), dtype=np.int64)
-    weights[0] = 1
-    counts = weights[1 + m:]
-    np.subtract(k_index[upper], k_index[lower], out=counts)
-    del k_index
-    r += (n + 1) * np.arange(m)[:, None]
-    hist = np.bincount(r.ravel(), minlength=m * (n + 1)).reshape(m, n + 1)
+    lower = [slot[w[0]] for w in windows]
+    upper = [slot[w[1]] for w in windows]
+    k_index = np.empty((len(knots), n), dtype=np.int64)
+    weights = np.empty((len(knots) + len(windows), n), dtype=np.int64)
+    turns = [0] * lead  # the 2**128 part of sum_i sum_{k < K_i} P(k), per knot
+    if lead:
+        k_index[0] = np.arange(1, n + 1)
+        weights[0] = np.arange(n, 0, -1)
+    # p is sorted, so the rows that wrap are the last ones
+    for t, ranks, q, w in zip(range(lead, len(knots)), r, turns0, wraps):
+        np.add(ranks, n * q, out=k_index[t])
+        k_index[t, n - w:] += n
+        np.cumsum(np.bincount(ranks, minlength=n + 1)[:n], out=weights[t])
+        np.subtract(n + n * q + w, weights[t], out=weights[t])
+        r_sum, r_wrap = int(ranks.sum()), int(ranks[n - w:].sum())
+        turns.append(n * (n * q * (q - 1) // 2 + w * q) + q * r_sum + r_wrap)
     del r
-    beyond = weights[1:1 + m]
-    np.cumsum(hist[:, :n], axis=1, out=beyond)
-    del hist
-    np.subtract(n, beyond, out=beyond)
-    total_p, *sums = dot_words(weights, np.stack([hi, lo]))
-    prefix_sums, weighted = sums[:m], sums[m:]
+    np.subtract(k_index[upper], k_index[lower], out=weights[len(knots):])
+    k_sums = k_index.sum(axis=1).tolist()
+    del k_index
+    sums = dot_words(weights, np.stack([hi, lo]))
+    del weights
+    prefix = [p_sum + (t << 128) for p_sum, t in zip(sums, turns)]  # sum_i sum_{k < K_i} P(k)
 
-    moments = []  # sum_i sum_{k < K_i} P(k), per knot
-    for (q, wraps, r_sum, r_wrap), prefix in zip(row_sums, prefix_sums):
-        turns = n * (n * q * (q - 1) // 2 + wraps * q) + q * r_sum + r_wrap
-        moments.append((n * q + wraps) * total_p + prefix + (turns << 128))
-    # sum over pieces of c0 * count + c1 * moment / scale, over one denominator
-    den = math.lcm(*(c.denominator for piece in pieces for c in piece[3:]))
+    # sum over windows of u0 * count + u1 * moment / scale, over one denominator
     total = 0
-    for (_, _, _, c0, c1), (e0, e1), i0, i1, count, correction in zip(
-        pieces, ends, lower, upper, counts.sum(axis=1).tolist(), weighted,
-    ):
-        moment = moments[i1] - moments[i0] - correction
-        for shift in range(-(-e0 // MODULUS), -(-e1 // MODULUS)):
+    for (a, b, u0, u1), i0, i1, correction in zip(windows, lower, upper, sums[len(knots):]):
+        count = k_sums[i1] - k_sums[i0]
+        moment = prefix[i1] - prefix[i0] - correction
+        for shift in range(max(1, -(-a // MODULUS)), -(-b // MODULUS)):
             count -= n
             moment -= n * shift * MODULUS
-        total += (c0 * den).numerator * count * scale.numerator
-        total += (c1 * den).numerator * moment * scale.denominator
+        total += u0 * count * scale.numerator + u1 * moment * scale.denominator
     return Fraction(total, den * scale.numerator)
 
 

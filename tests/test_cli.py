@@ -10,6 +10,7 @@ import sys
 
 import pytest
 
+import numvar.cli as cli
 import numvar.harness as harness
 from numvar import WindowError, rows_from_csv
 from numvar.cli import main
@@ -210,6 +211,21 @@ def test_verify_zero_tol_budget(capsys):
     assert code == 3 and "budget" in err
 
 
+def test_verify_trials_below_one_fails_fast(capsys, monkeypatch):
+    # rejected before any suite runs, so no "worst ... inf" report exits 0
+    def never(*args):
+        raise AssertionError("suite ran before the trials check")
+
+    monkeypatch.setattr(harness, "_suite_lemma1", never)
+    monkeypatch.setattr(harness, "_suite_lemma2", never)
+    for trials in ("0", "-3"):
+        code, out, err = run_cli(
+            capsys, "verify", "--suites", "lemma1,lemma2", "--trials", trials,
+        )
+        assert (code, out) == (2, "")
+        assert "config error" in err and "trials" in err
+
+
 # ---------------------------------------------------------------------------
 # coeffs
 # ---------------------------------------------------------------------------
@@ -231,6 +247,19 @@ def test_coeffs_kmax_validated(capsys):
         "--kmax", "0",
     )
     assert code == 2 and "config error" in err
+
+
+def test_coeffs_rejects_several_n(capsys, monkeypatch):
+    # every N after the first used to be dropped without a word
+    def never(*args):
+        raise AssertionError("sequence generated before the schedule check")
+
+    monkeypatch.setattr(cli, "generate_sequence", never)
+    code, out, err = run_cli(
+        capsys, "coeffs", "--seq", "monomial:d=2", "--schedule", "n=64,128",
+    )
+    assert (code, out) == (2, "")
+    assert "config error" in err and "64,128" in err
 
 
 # ---------------------------------------------------------------------------

@@ -271,7 +271,6 @@ def test_rank_and_sort_words_match_bisect(nums, queries):
     q_hi, q_lo = fp.to_words(queries + pts)
     rank = fp.rank_words(hi[order], lo[order], q_hi, q_lo)
     assert list(rank) == [bisect.bisect_left(pts, q) for q in queries + pts]
-    assert list(fp.tie_starts(hi[order], lo[order])) == [bisect.bisect_left(pts, q) for q in pts]
 
 
 def test_sort_words_rational_alpha_matches_lexsort():

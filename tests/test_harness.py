@@ -424,6 +424,14 @@ def test_suite_unknown_name():
         run_verification_suite(("identity", "nonsense"))
 
 
+def test_suite_counts_below_one_rejected():
+    # zero instances would pass the identity suite on no evidence
+    with pytest.raises(ConfigError, match="instances"):
+        run_verification_suite(("identity",), instances=0)
+    with pytest.raises(ConfigError, match="trials"):
+        run_verification_suite(("lemma1",), trials=-1)
+
+
 def test_suite_tol_budget_checked_up_front():
     with pytest.raises(BudgetError):
         run_verification_suite(("identity",), tol=0.0)

@@ -15,6 +15,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.random import Philox
 
 from numvar import (
@@ -600,6 +602,98 @@ def test_exact_kernel_rational_alpha_ties():
         pts = dilate_mod1(FixedPointReal.from_fraction(1, q), seq)
         for params in (WindowParams.from_beta(40, 0.3), WindowParams.from_L(40, 30.0)):
             assert_exact(pts, params, ALL_KINDS)
+
+
+# The kernel counts each pair once, from its lower unrolled index, and sums
+# g(t) = f(t) + f(-t) there; these draws put the knots of f on both sides
+# of 0, on one side only, or on the support edge alone, and the points on
+# exact ties and on windows of one turn or several.
+kernel_settings = settings(derandomize=True, max_examples=150, deadline=None, database=None)
+
+
+@st.composite
+def custom_tables(draw):
+    """A custom TestFunction on a grid of quarters, radius a multiple of 1/4."""
+    radius = draw(st.integers(1, 16)) / 4
+    side = draw(st.sampled_from(["both", "below", "above", "touch below", "touch above"]))
+    edge = int(radius * 4)
+    quarters = {
+        "both": st.integers(-20, 20),
+        "below": st.integers(-20, -1),
+        "above": st.integers(1, 20),
+        "touch below": st.integers(-24, -edge - 1),
+        "touch above": st.integers(edge + 1, 24),
+    }[side]
+    grid = set(draw(st.lists(quarters, min_size=1, max_size=5, unique=True)))
+    if side == "both":
+        grid |= {draw(st.integers(-20, -1)), draw(st.integers(1, 20))}
+    elif side.startswith("touch"):
+        grid.add(-edge if side == "touch below" else edge)  # meets [-r, r] at one point
+    xs = sorted(grid)
+    if len(xs) < 2:
+        xs.append(xs[0] + 1)
+    values = st.integers(-8, 8) | st.floats(-3, 3)
+    values = draw(st.lists(values, min_size=len(xs), max_size=len(xs)))
+    return TestFunction.custom([x / 4 for x in xs], values, radius=radius)
+
+
+@st.composite
+def kernel_points(draw):
+    n = draw(st.integers(1, 9))
+    if draw(st.booleans()):
+        # rational alpha with a small denominator: exact ties
+        seq = generate_sequence(SequenceSpec.monomial(draw(st.integers(1, 2))), n)
+        return dilate_mod1(FixedPointReal.from_fraction(1, draw(st.integers(1, 8))), seq)
+    nums = draw(st.lists(st.integers(0, MODULUS - 1), min_size=n, max_size=n))
+    return PointSet.from_numerators(nums)
+
+
+@kernel_settings
+@given(kernel_points(), custom_tables(),
+       st.sampled_from([1.0, 0.75, 0.5, 0.3]) | st.floats(1e-3, 1.0))
+# ell = 1, radius 4: the support spans four turns, on tied points
+@example(dilate_mod1(FixedPointReal.from_fraction(1, 4),
+                     generate_sequence(SequenceSpec.monomial(1), 9)),
+         TestFunction.custom([-4.0, -1.0, 0.0, 2.5, 4.0], [1.0, 3.0, -2.0, 0.5, 2.0], 4.0),
+         1.0)
+def test_folded_kernel_matches_fraction_oracle(points, f, ell):
+    params = WindowParams.from_L(len(points), len(points) * ell)
+    for g in (f, TestFunction.tent(), TestFunction.indicator()):
+        assert stats._pair_sum(points, params.ell, g) == exact_pair_sum(points, params.ell, g)
+
+
+def test_folded_windows_join_one_line():
+    scale = Fraction(0.3) * MODULUS
+    top = math.floor(scale) + 1
+    # the tent: its D = 0 window, 2 f(0), lies on the line 2 - 2D/scale
+    assert stats._folded_windows(TestFunction.tent(), scale) == (1, [(0, top, 2, -2)])
+    # f(t) = 1 + t on [-1, 1], with a knot at 1/2: g = 2 on both sides of it
+    line = TestFunction.custom([-1.0, 0.5, 1.0], [0.0, 1.5, 2.0], radius=1.0)
+    assert stats._folded_windows(line, scale) == (1, [(0, top, 2, 0)])
+    # the half-open indicator: g = 2 below scale/2, and 1 at D = scale/2 only
+    half = math.ceil(scale / 2)
+    assert stats._folded_windows(TestFunction.indicator(), scale) == (
+        1, [(0, half, 2, 0), (half, math.floor(scale / 2) + 1, 1, 0)])
+
+
+def test_tent_kernel_ranks_each_point_once(monkeypatch):
+    # the tent folds to one window [0, scale], whose start is k = i + 1:
+    # one rank query per point and call, also for ties and for ell = 1
+    calls = []
+    real_rank = stats.rank_words
+
+    def counted(pts_hi, pts_lo, q_hi, q_lo):
+        calls.append(q_hi.size)
+        return real_rank(pts_hi, pts_lo, q_hi, q_lo)
+
+    monkeypatch.setattr(stats, "rank_words", counted)
+    seq = generate_sequence(SequenceSpec.monomial(2), 300)
+    for alpha in (FixedPointReal.from_fraction(1, 8), sample_alpha(7, 0)):
+        points = dilate_mod1(alpha, seq)
+        for params in (WindowParams.from_beta(300, 0.3), WindowParams.from_L(300, 300.0)):
+            calls.clear()
+            number_variance_exact(points, params)
+            assert calls == [300]
 
 
 # ---------------------------------------------------------------------------
