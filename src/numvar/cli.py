@@ -39,19 +39,24 @@ from .stats import (
 from .theory import fourier_coefficient
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seq", help="sequence spec: monomial:d=2 | lacunary:base=2 | custom:FILE")
-    p.add_argument("--beta", type=float, help="window exponent, L = N^beta")
-    p.add_argument("--schedule", help="N schedule: m=A..B (N = m^2) or n=N1,N2,...")
-    p.add_argument("--alphas", type=int, help="dilation samples per N")
-    p.add_argument("--seed", type=int, help="experiment seed")
-    p.add_argument("--delta", type=float, help="deviation threshold (fraction of L)")
-    p.add_argument("--tol", type=float, help="spectral truncation tolerance")
-    p.add_argument("--mc", type=int, help="Monte Carlo window samples (0 = exact route)")
-    p.add_argument("--workers", type=int, help="worker threads")
-    p.add_argument("--config", help="key = value config file; flags override")
-    p.add_argument("--out", help="output path (default stdout)")
-    p.add_argument("--format", choices=("csv", "json"), help="output format")
+_FLAGS = {
+    "seq": dict(help="sequence spec: monomial:d=2 | lacunary:base=2 | custom:FILE"),
+    "beta": dict(type=float, help="window exponent, L = N^beta"),
+    "schedule": dict(help="N schedule: m=A..B (N = m^2) or n=N1,N2,..."),
+    "alphas": dict(type=int, help="dilation samples per N"),
+    "delta": dict(type=float, help="deviation threshold (fraction of L)"),
+    "tol": dict(type=float, help="spectral truncation tolerance"),
+    "mc": dict(type=int, help="Monte Carlo window samples (0 = exact route)"),
+    "workers": dict(type=int, help="worker threads"),
+    "format": dict(choices=("csv", "json"), help="output format"),
+    "suites": dict(default="all", help="comma list: lemma1,lemma2,identity,mean,parseval"),
+    "trials": dict(type=int, default=10000, help="trials for the lemma sweeps"),
+    "kmax": dict(type=int, default=32, help="emit coefficients for k = 1..kmax"),
+    # on every subcommand, so a script may append --seed to any command
+    "seed": dict(type=int, help="experiment seed"),
+    "config": dict(help="key = value config file; flags override"),
+    "out": dict(help="output path (default stdout)"),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -60,23 +65,10 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Fine-scale statistics of dilated integer sequences mod 1.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, desc in (
-        ("variance", "number variance sweep over a schedule of N"),
-        ("paircorr", "pair correlation by direct and spectral routes"),
-        ("energy", "additive energy scaling along a schedule"),
-        ("verify", "analytic verification suites"),
-        ("coeffs", "Fourier coefficients of the averaged pair correlation"),
-    ):
+    for name, (_, desc, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=desc)
-        _add_common(p)
-        if name == "verify":
-            p.add_argument("--suites", default="all",
-                           help="comma list: lemma1,lemma2,identity,mean,parseval")
-            p.add_argument("--trials", type=int, default=10000,
-                           help="trials for the lemma sweeps")
-        if name == "coeffs":
-            p.add_argument("--kmax", type=int, default=32,
-                           help="emit coefficients for k = 1..kmax")
+        for flag in flags + ("seed", "config", "out"):
+            p.add_argument("--" + flag, **_FLAGS[flag])
     return parser
 
 
@@ -184,12 +176,17 @@ def _cmd_coeffs(args: argparse.Namespace, defaults: Dict[str, str]) -> int:
     return 0
 
 
+# a subcommand takes only the flags it reads, plus --seed, --config and --out
 _COMMANDS = {
-    "variance": _cmd_variance,
-    "paircorr": _cmd_paircorr,
-    "energy": _cmd_energy,
-    "verify": _cmd_verify,
-    "coeffs": _cmd_coeffs,
+    "variance": (_cmd_variance, "number variance sweep over a schedule of N",
+                 ("seq", "beta", "schedule", "alphas", "delta", "mc", "workers", "format")),
+    "paircorr": (_cmd_paircorr, "pair correlation by direct and spectral routes",
+                 ("seq", "beta", "schedule", "alphas", "tol", "format")),
+    "energy": (_cmd_energy, "additive energy scaling along a schedule",
+               ("seq", "schedule", "format")),
+    "verify": (_cmd_verify, "analytic verification suites", ("suites", "trials", "tol")),
+    "coeffs": (_cmd_coeffs, "Fourier coefficients of the averaged pair correlation",
+               ("seq", "beta", "schedule", "kmax", "format")),
 }
 
 
@@ -198,9 +195,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         defaults = load_config_file(args.config) if args.config else {}
-        if args.command == "verify":
-            return _cmd_verify(args, defaults)
-        return _COMMANDS[args.command](args, defaults)
+        return _COMMANDS[args.command][0](args, defaults)
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2

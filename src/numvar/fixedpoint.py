@@ -20,7 +20,9 @@ numerator = hi * 2**64 + lo.  The module-level word functions below are
 the only code that knows this layout: splitting and joining numerators,
 the dilation multiply, addition mod 2**128, comparison, rank queries,
 sorting, least circular gaps, exact dot products, and phases.  All of them
-are exact.
+are exact.  The multiply leans on numpy's uint64 arithmetic wrapping mod
+2**64, so the low word of a product is one multiply; the sort packs each
+input index into the low bits of its high word and sorts those keys once.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ _HEX_DIGITS = FRACTION_BITS // 4
 _M64 = (1 << 64) - 1
 _MASK32 = np.uint64(0xFFFFFFFF)
 _U64 = np.uint64
-# mul_words block: small enough that its limb temporaries stay in cache
+# mul_words block: small enough that its temporaries stay in cache
 _MUL_BLOCK = 1 << 14
 
 
@@ -166,49 +168,36 @@ def to_words(numerators: Iterable[int]) -> Tuple[np.ndarray, np.ndarray]:
 def mul_words(numerator: int, terms: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """(numerator * a) mod 2**128 for each int64 term a (1-d), as (hi, lo) words.
 
-    Everything runs in uint64 with 32-bit limbs.  A partial product
-    A_i * b_j is < 2**64; the per-column accumulators only ever sum a
-    handful of values < 2**32 plus a small carry, so no intermediate
-    overflows.  Negative terms are handled by multiplying |a| and then
-    negating mod 2**128.  The terms go through in fixed blocks written
-    into the preallocated words, so the limb temporaries stay small.
+    With the numerator's words u_hi, u_lo and m = |a| < 2**63, the low word
+    is u_lo * m mod 2**64, one uint64 multiply (numpy's wraps), and the
+    high word is u_hi * m + high64(u_lo * m) mod 2**64.  high64 comes from
+    the four 32-bit partial products of u_lo and m, each < 2**64, whose
+    middle column (at most three values < 2**32) carries into the top.
+    Negative terms are handled by multiplying |a| and then negating mod
+    2**128.  The terms go through in fixed blocks written into the
+    preallocated words, so the temporaries stay small.
     """
-    numerator %= MODULUS
-    limbs = [_U64((numerator >> (32 * k)) & 0xFFFFFFFF) for k in range(4)]
+    u_hi, u_lo = (_U64(w) for w in split(numerator))
     hi = np.empty(terms.shape, dtype=np.uint64)
     lo = np.empty(terms.shape, dtype=np.uint64)
     for start in range(0, terms.size, _MUL_BLOCK):
         block = slice(start, start + _MUL_BLOCK)
-        hi[block], lo[block] = _mul_block(limbs, terms[block])
+        hi[block], lo[block] = _mul_block(u_hi, u_lo, terms[block])
     return hi, lo
 
 
-def _mul_block(limbs, terms: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def _mul_block(u_hi, u_lo, terms: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     neg = terms < 0
     mag = np.abs(terms).astype(np.uint64)
-    b0 = mag & _MASK32
-    b1 = mag >> _U64(32)
-
-    cols = [np.zeros(terms.shape, dtype=np.uint64) for _ in range(4)]
-    for i, ai in enumerate(limbs):
-        for j, bj in ((0, b0), (1, b1)):
-            k = i + j
-            if k > 3:
-                continue
-            prod = ai * bj
-            cols[k] += prod & _MASK32
-            if k + 1 <= 3:
-                cols[k + 1] += prod >> _U64(32)
-
-    words = []
-    carry = np.zeros(terms.shape, dtype=np.uint64)
-    for k in range(4):
-        tot = cols[k] + carry
-        words.append(tot & _MASK32)
-        carry = tot >> _U64(32)
-
-    lo = words[0] | (words[1] << _U64(32))
-    hi = words[2] | (words[3] << _U64(32))
+    # high64(u_lo * mag) from the 32-bit halves u_lo = x1:x0 and mag = y1:y0
+    x0, x1 = u_lo & _MASK32, u_lo >> _U64(32)
+    y0, y1 = mag & _MASK32, mag >> _U64(32)
+    p01 = x0 * y1
+    p10 = x1 * y0
+    mid = ((x0 * y0) >> _U64(32)) + (p01 & _MASK32) + (p10 & _MASK32)
+    high = x1 * y1 + (p01 >> _U64(32)) + (p10 >> _U64(32)) + (mid >> _U64(32))
+    lo = u_lo * mag
+    hi = u_hi * mag + high
 
     # two's-complement negation across the 128-bit pair
     lo_n = _U64(0) - lo
@@ -238,14 +227,21 @@ def less_words(a_hi, a_lo, b_hi, b_lo) -> np.ndarray:
 def argsort_words(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
     """Stable permutation sorting the numerators ascending: np.lexsort((lo, hi)).
 
-    numpy's default (unstable, and several times faster) sort on the high
-    words, then only the runs of equal high words are re-sorted by (low
-    word, original index), which restores the stable order inside them.
-    Runs are absent for generic alpha and routine for small rational alpha.
+    Each high word has its low b = bit_length(n - 1) bits (at least 1)
+    replaced by its input index, and one in-place sort of these keys gives
+    the permutation as key & (2**b - 1).  Numerators whose high words
+    agree above those b bits come out in index order; only these runs are
+    re-sorted by (high word, low word, index), which restores the stable
+    order inside them.  Runs are absent for generic alpha and routine for
+    small rational alpha.
     """
-    order = np.argsort(hi)
-    s_hi = hi[order]
-    tied = np.flatnonzero(s_hi[1:] == s_hi[:-1])
+    bits = max(1, (hi.size - 1).bit_length())
+    mask = _U64((1 << bits) - 1)
+    keys = (hi & ~mask) | np.arange(hi.size, dtype=np.uint64)
+    keys.sort()
+    tied = np.flatnonzero((keys[1:] ^ keys[:-1]) <= mask)
+    keys &= mask
+    order = keys.view(np.int64)
     if tied.size:
         pos = np.union1d(tied, tied + 1)
         sub = order[pos]

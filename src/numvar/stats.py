@@ -34,11 +34,11 @@ at the next point and needs no query: the tent folds to the one window
 O(N log N) per knot of g whatever ell and the support radius are, and
 its result is exact until the one final rounding to float.
 
-The Monte Carlo route sorts its random centers once by their high word
-and counts them in fixed blocks of 2**15, so the rank queries of each
-block come in ascending order and its temporaries stay small; the
-counts go back to draw order before they are reduced, so the estimate
-is the same float as counting the centers as drawn.
+The Monte Carlo route sorts its random centers once, by the same word
+sort as the points, and counts them in fixed blocks of 2**15, so the
+rank queries of each block come in ascending order and its temporaries
+stay small; the counts go back to draw order before they are reduced,
+so the estimate is the same float as counting the centers as drawn.
 
 The spectral route (pair_correlation_fourier, and through it
 number_variance_fourier) sums |T_n|^2 over 1 <= n <= M in fixed chunks
@@ -72,6 +72,7 @@ from .fixedpoint import (
     PHASE_N_BOUND,
     FixedPointReal,
     add_words,
+    argsort_words,
     close_pairs_words,
     dot_words,
     less_words,
@@ -485,7 +486,7 @@ def number_variance_montecarlo(
     Centers come from a counter-based stream, so the estimate is a pure
     function of (points, params, samples, seed).
 
-    The centers are sorted once by their high word and counted in fixed
+    The centers are sorted once by argsort_words and counted in fixed
     blocks of _CENTER_BLOCK, so each block's rank queries arrive in
     ascending order and its temporaries stay small.  The counts are
     scattered back to draw order before the reduction, so the result is
@@ -495,7 +496,7 @@ def number_variance_montecarlo(
     if samples < 2:
         raise ValueError("samples must be >= 2")
     raw = Philox(key=seed % (1 << 128), counter=[0, 0, 0, _CENTER_STREAM]).random_raw(2 * samples)
-    order = np.argsort(raw[0::2])
+    order = argsort_words(raw[0::2], raw[1::2])
     c_hi, c_lo = raw[0::2][order], raw[1::2][order]
     del raw
     counts = np.empty(samples, dtype=np.int64)

@@ -271,6 +271,26 @@ def test_missing_schedule_is_config_error(capsys):
     assert code == 2 and "config error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--suites", "identity", "--format", "csv"),  # verify only writes JSON
+    ("coeffs", "--seq", "monomial:d=2", "--schedule", "n=12", "--mc", "3"),
+])
+def test_flag_the_subcommand_does_not_read_is_usage_error(capsys, argv):
+    # such a flag used to be parsed and then ignored, with exit 0
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "unrecognized arguments" in captured.err
+
+
+def test_every_subcommand_takes_seed(capsys):
+    for argv in (("energy", "--seq", "lacunary:base=2", "--schedule", "n=8"),
+                 ("coeffs", "--seq", "monomial:d=2", "--schedule", "n=12", "--kmax", "1")):
+        code, out, _ = run_cli(capsys, *argv, "--seed", "7")
+        assert code == 0 and out
+
+
 def test_missing_config_file_is_config_error(capsys):
     code, _, err = run_cli(
         capsys, "variance", "--config", "/nonexistent/path.cfg",

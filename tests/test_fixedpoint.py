@@ -213,6 +213,12 @@ def test_split_join_round_trip(num, k):
 @example(MODULUS - 1, [1, -1, TOP, -TOP])  # product words hi = 2**64 - 1 and 0
 @example((M64 << 64) | M64, [TOP, -TOP, 2])
 @example(1 << 64, [-(1 << 32), -1])
+# |a| at the 32-bit limb edge with both signs; u_lo = 2**64 - 1 gives the
+# largest middle carry of high64(u_lo * |a|), and u_hi = 0 leaves only it
+@example((5 << 64) | M64, [s * ((1 << 32) + d) for s in (1, -1) for d in (-1, 0, 1)] + [TOP])
+@example(M64, [s * ((1 << 32) + d) for s in (1, -1) for d in (-1, 0, 1)])
+@example(0x9E3779B97F4A7C15, [(1 << 32) - 1, -(1 << 32), (1 << 32) + 1])
+@example(M64, [-TOP])
 # longer than one block of the multiply, signs alternating across the
 # block boundaries at multiples of 2**14
 @example((M64 << 64) | 12345,
@@ -292,6 +298,31 @@ def test_sort_words_long_tied_runs_match_lexsort():
     nums = [(h << 64) | l for h in (0, 7, M64) for l in (0, 5, M64)] + [3 << 64]
     picks = rng.integers(0, len(nums), 20000)
     hi, lo = fp.to_words([nums[i] for i in picks])
+    assert np.array_equal(fp.argsort_words(hi, lo), np.lexsort((lo, hi)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 255, 256, 257, (1 << 16) + 1])
+def test_sort_words_packed_key_ties_match_lexsort(n):
+    # the sort key is the high word with its low b bits replaced by the
+    # input index, so high words that agree above those bits tie in the
+    # key (whatever their low b bits), and so do fully equal words
+    bits = max(1, (n - 1).bit_length())
+    rng = np.random.default_rng(n)
+    tops = np.array([0, 1 << bits, 5 << bits, M64 >> bits << bits], dtype=np.uint64)
+    hi = tops[rng.integers(0, 4, n)] | rng.integers(0, 1 << bits, n, dtype=np.uint64)
+    lo = rng.integers(0, 3, n, dtype=np.uint64) * np.uint64(M64 // 2)
+    assert np.array_equal(fp.argsort_words(hi, lo), np.lexsort((lo, hi)))
+    nums = [(h << 64) | l for h in (0, 7, M64) for l in (0, M64)]
+    hi, lo = fp.to_words([nums[i] for i in rng.integers(0, len(nums), n)])
+    assert np.array_equal(fp.argsort_words(hi, lo), np.lexsort((lo, hi)))
+
+
+def test_sort_words_generic_alpha_matches_lexsort():
+    # generic alpha: the high words differ above the 17 index bits, so no
+    # key ties and the run fix-up never runs
+    terms = np.arange(1, 10**5 + 1, dtype=np.int64) ** 2
+    hi, lo = fp.mul_words(0x9E3779B97F4A7C15F39CC0605CEDC834, terms)
+    assert np.unique(hi >> np.uint64(17)).size == terms.size
     assert np.array_equal(fp.argsort_words(hi, lo), np.lexsort((lo, hi)))
 
 
