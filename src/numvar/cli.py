@@ -17,6 +17,7 @@ from typing import Dict, List, Optional
 
 from .errors import BudgetError, ConfigError, NumvarError
 from .harness import (
+    CONFIG_KEYS,
     ExperimentConfig,
     config_from_mapping,
     energy_table_to_csv,
@@ -74,12 +75,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _merge_config(args: argparse.Namespace, defaults: Dict[str, str]) -> ExperimentConfig:
     mapping = dict(defaults)
-    for flag, key in (
-        ("seq", "seq"), ("beta", "beta"), ("schedule", "schedule"),
-        ("alphas", "alphas"), ("seed", "seed"), ("delta", "delta"),
-        ("tol", "tol"), ("mc", "mc"), ("workers", "workers"),
-    ):
-        value = getattr(args, flag, None)
+    for key in CONFIG_KEYS:
+        value = getattr(args, key, None)
         if value is not None:
             mapping[key] = str(value)
     return config_from_mapping(mapping)

@@ -243,7 +243,9 @@ def argsort_words(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
     keys &= mask
     order = keys.view(np.int64)
     if tied.size:
-        pos = np.union1d(tied, tied + 1)
+        run = np.zeros(hi.size, dtype=bool)
+        run[tied] = run[tied + 1] = True
+        pos = np.flatnonzero(run)
         sub = order[pos]
         order[pos] = sub[np.lexsort((sub, lo[sub], hi[sub]))]
     return order

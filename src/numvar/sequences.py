@@ -232,21 +232,20 @@ def load_sequence_file(path: str | os.PathLike) -> SequenceSpec:
 # ---------------------------------------------------------------------------
 
 class PointSet:
-    """Sorted exact points frac(alpha * a_j) on the unit circle.
+    """Sorted exact points on the unit circle, e.g. frac(alpha * a_j).
 
     Stores the 128-bit numerators as parallel uint64 arrays (hi, lo)
-    and source_index such that point i came from sequence position
-    source_index[i].
+    and source_index such that point i came from input position
+    source_index[i] (the sequence position, for dilate_mod1).  The
+    points only: alpha and the sequence are not kept.
     """
 
-    __slots__ = ("hi", "lo", "source_index", "alpha", "sequence")
+    __slots__ = ("hi", "lo", "source_index")
 
-    def __init__(self, hi, lo, source_index, alpha, sequence):
+    def __init__(self, hi, lo, source_index):
         self.hi = hi
         self.lo = lo
         self.source_index = source_index
-        self.alpha = alpha
-        self.sequence = sequence
 
     def __len__(self) -> int:
         return int(self.hi.size)
@@ -255,21 +254,12 @@ class PointSet:
         """Exact 128-bit numerator of point i (sorted order)."""
         return join(self.hi[i], self.lo[i])
 
-    def point(self, i: int) -> FixedPointReal:
-        return FixedPointReal(self.numerator(i))
-
     @classmethod
-    def _from_words(cls, hi, lo, alpha=None, sequence=None) -> "PointSet":
+    def _from_words(cls, hi, lo) -> "PointSet":
         """Point set from unsorted (hi, lo) word arrays; source_index is the sort."""
         order = argsort_words(hi, lo)
         idx_dtype = np.uint32 if hi.size < (1 << 32) else np.uint64
-        return cls(
-            hi=hi[order],
-            lo=lo[order],
-            source_index=order.astype(idx_dtype),
-            alpha=alpha,
-            sequence=sequence,
-        )
+        return cls(hi=hi[order], lo=lo[order], source_index=order.astype(idx_dtype))
 
     @classmethod
     def from_numerators(cls, numerators) -> "PointSet":
@@ -297,7 +287,7 @@ class PointSet:
 def dilate_mod1(alpha: FixedPointReal, seq: IntegerSequence) -> PointSet:
     """Map each term a to frac(alpha * a), exactly, and sort."""
     hi, lo = mul_words(alpha.numerator, seq.terms)
-    return PointSet._from_words(hi, lo, alpha=alpha, sequence=seq)
+    return PointSet._from_words(hi, lo)
 
 
 # ---------------------------------------------------------------------------

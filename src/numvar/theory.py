@@ -43,6 +43,8 @@ _SUM_CHUNK = 1 << 22
 # Ceiling on N for the alpha_grid quadrature, which runs one direct pair
 # correlation per grid point; the parseval route has no such cap.
 _ALPHA_GRID_MAX_N = 256
+# points of the first alpha_grid quadrature, before any doubling
+_GRID_START = 256
 
 
 class Lemma1Result(NamedTuple):
@@ -180,17 +182,21 @@ def centered_statistic(
     return r2 - mean_pair_correlation(params)
 
 
+def _grid_r2(seq: IntegerSequence, params: WindowParams, q: int, numerators) -> np.ndarray:
+    """R2(tent) at the grid dilation nearest p/q, for each p in numerators."""
+    f = TestFunction.tent()
+    r2 = []
+    for p in numerators:
+        points = dilate_mod1(FixedPointReal.from_fraction(p, q), seq)
+        r2.append(pair_correlation_direct(points, params, f).r2)
+    return np.array(r2, dtype=np.float64)
+
+
 def pair_correlation_grid(
     seq: IntegerSequence, params: WindowParams, grid_size: int
 ) -> np.ndarray:
     """R2(tent) sampled at dilations j/Q, j = 0..Q-1 (nearest grid points)."""
-    out = np.empty(grid_size, dtype=np.float64)
-    f = TestFunction.tent()
-    for j in range(grid_size):
-        alpha = FixedPointReal.from_fraction(j, grid_size)
-        points = dilate_mod1(alpha, seq)
-        out[j] = pair_correlation_direct(points, params, f).r2
-    return out
+    return _grid_r2(seq, params, grid_size, range(grid_size))
 
 
 def x_second_moment(
@@ -198,7 +204,6 @@ def x_second_moment(
     params: WindowParams,
     method: str = "alpha_grid",
     *,
-    grid_start: int = 256,
     grid_cap: int = 65536,
     rel_tol: float = 1e-3,
     tol: float = 1e-6,
@@ -208,7 +213,7 @@ def x_second_moment(
     """Variance of R2(tent) over the dilation factor.
 
     method "alpha_grid": quadrature of (R2 - (L - L/N))^2 over a uniform
-    dilation grid of grid_start points, doubling the density until two
+    dilation grid of 256 points, doubling the density until two
     refinements agree to rel_tol, then Richardson-extrapolated; more
     than grid_cap points raise BudgetError.  Needs N <= 256.
 
@@ -227,7 +232,7 @@ def x_second_moment(
     if method == "alpha_grid":
         if params.N > _ALPHA_GRID_MAX_N:
             raise BudgetError("alpha_grid quadrature capped at N <= %d" % _ALPHA_GRID_MAX_N)
-        grid = grid_start
+        grid = _GRID_START
         mean = mean_pair_correlation(params)
 
         vals = pair_correlation_grid(seq, params, grid)
@@ -238,15 +243,9 @@ def x_second_moment(
                     "alpha grid did not stabilize to %g within %d points"
                     % (rel_tol, grid_cap)
                 )
-            doubled = np.empty(2 * grid, dtype=np.float64)
-            doubled[0::2] = vals
-            f = TestFunction.tent()
-            for j in range(grid):
-                alpha = FixedPointReal.from_fraction(2 * j + 1, 2 * grid)
-                points = dilate_mod1(alpha, seq)
-                doubled[2 * j + 1] = pair_correlation_direct(points, params, f).r2
+            odd = _grid_r2(seq, params, 2 * grid, range(1, 2 * grid, 2))
+            vals = np.stack((vals, odd), axis=1).ravel()  # interleave: p = 0, 1, 2, ...
             grid *= 2
-            vals = doubled
             cur = float(np.mean((vals - mean) ** 2))
             if abs(cur - prev) <= rel_tol * max(abs(cur), 1e-300):
                 # one Richardson step for the O(h^2) quadrature error

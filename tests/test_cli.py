@@ -4,6 +4,7 @@ Runs main() in process so stdout/stderr and exit codes can be asserted
 cheaply; one subprocess smoke test confirms the installed entry point.
 """
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import pytest
 
 import numvar.cli as cli
 import numvar.harness as harness
-from numvar import WindowError, rows_from_csv
+from numvar import ConfigError, ExperimentConfig, WindowError, rows_from_csv
 from numvar.cli import main
 
 
@@ -80,6 +81,47 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     )
     assert code == 0
     assert all(r.beta == 0.25 for r in rows_from_csv(out))  # flag wins
+
+
+# per config key: a config-file value and a flag value, both unlike the default
+PRECEDENCE_VALUES = {
+    "seq": ("monomial:d=3", "lacunary:base=3"),
+    "mc": ("100", "200"),
+    "schedule": ("n=10", "n=20"),
+    "beta": ("0.2", "0.4"),
+    "alphas": ("7", "9"),
+    "seed": ("3", "5"),
+    "delta": ("0.5", "0.125"),
+    "tol": ("0.001", "0.0001"),
+    "workers": ("2", "3"),
+}
+
+
+@pytest.mark.parametrize("key", list(harness.CONFIG_KEYS))
+def test_config_precedence_flag_then_file_then_default(tmp_path, key):
+    # the CLI flag beats the config file, which beats the ExperimentConfig
+    # default; seq and schedule have no default and must be given
+    name, cast = harness.CONFIG_KEYS[key]
+    file_text, flag_text = PRECEDENCE_VALUES[key]
+    command = next(c for c, (_, _, flags) in cli._COMMANDS.items() if key in flags + ("seed",))
+    base = {k: v for k, v in (("seq", "monomial:d=2"), ("schedule", "n=30")) if k != key}
+    path = tmp_path / "exp.cfg"
+
+    def merged(entries, argv):
+        path.write_text("".join("%s = %s\n" % kv for kv in entries.items()), encoding="utf-8")
+        args = cli._build_parser().parse_args([command, *argv])
+        return getattr(cli._merge_config(args, harness.load_config_file(str(path))), name)
+
+    with_file = dict(base, **{key: file_text})
+    assert merged(with_file, ["--" + key, flag_text]) == cast(flag_text)
+    assert merged(with_file, []) == cast(file_text)
+    field = {f.name: f for f in dataclasses.fields(ExperimentConfig)}[name]
+    if field.default is dataclasses.MISSING:
+        with pytest.raises(ConfigError, match="needs a %s entry" % key):
+            merged(base, [])
+    else:
+        assert field.default not in (cast(file_text), cast(flag_text))
+        assert merged(base, []) == field.default
 
 
 def test_custom_sequence_file(tmp_path, capsys):

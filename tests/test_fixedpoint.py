@@ -317,6 +317,26 @@ def test_sort_words_packed_key_ties_match_lexsort(n):
     assert np.array_equal(fp.argsort_words(hi, lo), np.lexsort((lo, hi)))
 
 
+def test_sort_words_tied_runs_at_the_ends():
+    # n = 8, so the key keeps the high word above its low 3 bits: runs of
+    # equal tops sit at sorted positions 0-2 (a run at index 0), 4-5 and
+    # 6-7 (a run ending at n - 1); the untied top 1 at position 3 separates
+    # the first two runs and must stay out of the re-sorted positions
+    tops = [2, 0, 3, 0, 1, 3, 0, 2]
+    lows = [5, 7, 0, 7, 2, 0, 1, 5]
+    hi = np.array([(t << 3) | b for t, b in zip(tops, lows)], dtype=np.uint64)
+    lo = np.array([1, 0, 9, 0, 4, 2, 8, 0], dtype=np.uint64)
+    order = fp.argsort_words(hi, lo)
+    assert list(order) == [6, 1, 3, 4, 7, 0, 5, 2]
+    assert np.array_equal(order, np.lexsort((lo, hi)))
+    # n = 2, fully tied: high words that differ only in the index bit,
+    # equal high words, and fully equal numerators
+    for h, l, want in (([1, 0], [0, 0], [1, 0]), ([4, 4], [5, 3], [1, 0]),
+                       ([4, 4], [3, 3], [0, 1])):
+        hi, lo = np.array(h, dtype=np.uint64), np.array(l, dtype=np.uint64)
+        assert list(fp.argsort_words(hi, lo)) == want
+
+
 def test_sort_words_generic_alpha_matches_lexsort():
     # generic alpha: the high words differ above the 17 index bits, so no
     # key ties and the run fix-up never runs

@@ -361,6 +361,8 @@ def test_moment_budget_errors():
         x_second_moment(seq, params, method="parseval", toll=1e-3)
     with pytest.raises(TypeError):
         x_second_moment(seq, params, method="alpha_grid", max_n=1000)
+    with pytest.raises(TypeError):
+        x_second_moment(seq, params, method="alpha_grid", grid_start=256)
     with pytest.raises(BudgetError):
         x_second_moment(seq, params, method="alpha_grid", rel_tol=1e-12,
                         grid_cap=1024)
