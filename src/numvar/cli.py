@@ -20,6 +20,7 @@ from .harness import (
     CONFIG_KEYS,
     ExperimentConfig,
     config_from_mapping,
+    config_value,
     energy_table_to_csv,
     load_config_file,
     rows_to_csv,
@@ -144,8 +145,8 @@ def _cmd_energy(args: argparse.Namespace, defaults: Dict[str, str]) -> int:
 
 def _cmd_verify(args: argparse.Namespace, defaults: Dict[str, str]) -> int:
     selection = tuple(s.strip() for s in args.suites.split(",") if s.strip())
-    tol = args.tol if args.tol is not None else float(defaults.get("tol", 1e-6))
-    seed = args.seed if args.seed is not None else int(defaults.get("seed", 0))
+    tol = args.tol if args.tol is not None else config_value(defaults, "tol")
+    seed = args.seed if args.seed is not None else config_value(defaults, "seed")
     report = run_verification_suite(
         selection=selection or ("all",), tol=tol, seed=seed, trials=args.trials
     )

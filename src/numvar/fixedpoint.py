@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, List, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -173,9 +173,9 @@ def mul_words(numerator: int, terms: np.ndarray) -> Tuple[np.ndarray, np.ndarray
     high word is u_hi * m + high64(u_lo * m) mod 2**64.  high64 comes from
     the four 32-bit partial products of u_lo and m, each < 2**64, whose
     middle column (at most three values < 2**32) carries into the top.
-    Negative terms are handled by multiplying |a| and then negating mod
-    2**128.  The terms go through in fixed blocks written into the
-    preallocated words, so the temporaries stay small.
+    Negative terms are multiplied as |a|, and then only their products
+    are negated mod 2**128.  The terms go through in fixed blocks written
+    into the preallocated words, so the temporaries stay small.
     """
     u_hi, u_lo = (_U64(w) for w in split(numerator))
     hi = np.empty(terms.shape, dtype=np.uint64)
@@ -187,8 +187,8 @@ def mul_words(numerator: int, terms: np.ndarray) -> Tuple[np.ndarray, np.ndarray
 
 
 def _mul_block(u_hi, u_lo, terms: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    neg = terms < 0
-    mag = np.abs(terms).astype(np.uint64)
+    neg = np.flatnonzero(terms < 0)
+    mag = np.abs(terms).view(np.uint64)
     # high64(u_lo * mag) from the 32-bit halves u_lo = x1:x0 and mag = y1:y0
     x0, x1 = u_lo & _MASK32, u_lo >> _U64(32)
     y0, y1 = mag & _MASK32, mag >> _U64(32)
@@ -198,11 +198,10 @@ def _mul_block(u_hi, u_lo, terms: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     high = x1 * y1 + (p01 >> _U64(32)) + (p10 >> _U64(32)) + (mid >> _U64(32))
     lo = u_lo * mag
     hi = u_hi * mag + high
-
-    # two's-complement negation across the 128-bit pair
-    lo_n = _U64(0) - lo
-    hi_n = np.where(lo == 0, _U64(0) - hi, ~hi)
-    return np.where(neg, hi_n, hi), np.where(neg, lo_n, lo)
+    # two's-complement negation across the 128-bit pair, at the negative terms
+    hi[neg] = ~hi[neg] + (lo[neg] == 0)
+    lo[neg] = _U64(0) - lo[neg]
+    return hi, lo
 
 
 def add_words(hi: np.ndarray, lo: np.ndarray, k) -> Tuple[np.ndarray, np.ndarray]:
@@ -314,23 +313,28 @@ def rank_words(pts_hi, pts_lo, q_hi, q_lo) -> np.ndarray:
     return rank
 
 
-def dot_words(c: np.ndarray, words: np.ndarray) -> List[int]:
+def dot_words(c: np.ndarray, words: Sequence[np.ndarray]) -> List[int]:
     """Exact sum_i c[j, i] * number_i for each row j of c, as Python ints.
 
-    c is (m, n) int64 >= 0; words is (k, n), the numbers' k uint64 words,
-    most significant first.  The words split into limbs narrow enough
-    that no uint64 dot product with c can overflow: limb bits +
-    bits(max c) + bits(n) <= 64.
+    c is (m, n) int64 with |c| < 2**62, else ValueError; words are the
+    numbers' uint64 word arrays, most significant first.  The words split
+    into b-bit limbs and the columns into chunks of 2**k, b + k +
+    bits(max |c|) = 63 and b = max(1, 63 - bits(max |c|) - bits(n)), so no
+    int64 dot product of a limb chunk with c can overflow.
     """
-    c = c.view(np.uint64)
-    bits = max(1, 64 - int(c.max()).bit_length() - c.shape[-1].bit_length())
+    room = 63 - max(int(c.max(initial=0)), -int(c.min(initial=0))).bit_length()
+    if room < 1:
+        raise ValueError("dot weights must satisfy |c| < 2**62")
+    bits = max(1, room - c.shape[-1].bit_length())
+    step = 1 << (room - bits)
     mask = _U64((1 << bits) - 1)
     sums = [0] * c.shape[0]
-    for shift in range(0, 64, bits):
-        part = (((words >> _U64(shift)) & mask) @ c.T).tolist()
-        for t, row in enumerate(part):
-            place = shift + 64 * (len(part) - 1 - t)
-            sums = [s + (v << place) for s, v in zip(sums, row)]
+    for t, word in enumerate(reversed(words)):
+        for shift in range(0, 64, bits):
+            limb = ((word >> _U64(shift)) & mask).view(np.int64)
+            for start in range(0, limb.size, step):
+                part = (c[:, start:start + step] @ limb[start:start + step]).tolist()
+                sums = [s + (v << (shift + 64 * t)) for s, v in zip(sums, part)]
     return sums
 
 

@@ -152,7 +152,7 @@ def _parse_seq(text: str) -> SequenceSpec:
 # in the order the values are checked; a ValueError from a cast is a bad value
 CONFIG_KEYS = {
     "seq": ("seq", _parse_seq),
-    "mc": ("mc_samples", int),
+    "mc": ("mc_samples", lambda text: int(text) or None),  # 0 is the exact route
     "schedule": ("schedule", parse_schedule),
     "beta": ("beta", float),
     "alphas": ("alpha_samples", int),
@@ -182,6 +182,18 @@ def load_config_file(path: str) -> Dict[str, str]:
     return out
 
 
+def config_value(mapping: Dict[str, str], key: str):
+    """mapping[key] cast as CONFIG_KEYS says; absent or empty, the ExperimentConfig default."""
+    name, cast = CONFIG_KEYS[key]
+    text = mapping.get(key, "")
+    if text == "" and key not in _REQUIRED_KEYS:
+        return getattr(ExperimentConfig, name)
+    try:
+        return cast(text)
+    except ValueError:
+        raise ConfigError("bad value for %s: %r" % (key, text)) from None
+
+
 def config_from_mapping(mapping: Dict[str, str]) -> ExperimentConfig:
     """Build a validated config from string key/value pairs."""
     unknown = set(mapping) - set(CONFIG_KEYS)
@@ -190,17 +202,7 @@ def config_from_mapping(mapping: Dict[str, str]) -> ExperimentConfig:
     for key in _REQUIRED_KEYS:
         if key not in mapping:
             raise ConfigError("config needs a %s entry" % key)
-    values = {}
-    for key, (name, cast) in CONFIG_KEYS.items():
-        text = mapping.get(key, "")
-        if text == "" and key not in _REQUIRED_KEYS:
-            continue  # absent or empty: the ExperimentConfig default applies
-        try:
-            values[name] = cast(text)
-        except ValueError:
-            raise ConfigError("bad value for %s: %r" % (key, text)) from None
-    if values.get("mc_samples") == 0:
-        del values["mc_samples"]  # 0 is the exact route; validate() rejects < 0 and 1
+    values = {name: config_value(mapping, key) for key, (name, _) in CONFIG_KEYS.items()}
     cfg = ExperimentConfig(**values)
     cfg.validate()
     return cfg

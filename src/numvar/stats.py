@@ -27,8 +27,8 @@ g(t) = f(t) + f(-t) over forward pairs only; equal points are forward
 pairs at D = 0.  Every tent, indicator or tabulated f is piecewise
 linear, and so is g, so a row's sum over each piece of g is a count
 plus a first moment over a window of the unrolled circle, read off
-exact rank queries, prefix sums of rank counts and one exact integer
-dot product with the numerators.  A window that starts at D = 0 starts
+exact rank queries, prefix sums of rank counts and one exact dot of a
+small signed row with the numerators.  A window that starts at D = 0 starts
 at the next point and needs no query: the tent folds to the one window
 0 <= D <= ell, so it costs one rank query per point.  The kernel costs
 O(N log N) per knot of g whatever ell and the support radius are, and
@@ -380,11 +380,13 @@ def _pair_sum(points: PointSet, ell: float, f: TestFunction) -> Fraction:
 
         sum_{k<K} P(k) = q*T + sum_{j<r} p_j + 2**128 * (N*q*(q-1)/2 + r*q),
 
-    and summed over rows the prefix sums become sum_j p_j * (#{i : r_i > j}
-    + sum_i q_i), a prefix sum of rank counts; for K = i + 1 the weight is
-    N - j.  Those weights and the window counts c_i (for the correction
-    sum_i c_i * p_i) meet the numerators in one exact dot product.  The
-    tent is one window on [0, S]: one rank query per point.  O(N log N)
+    and summed over rows the prefix sums become sum_j W_j * p_j plus 2**128
+    times an integer, W_j = #{i : r_i > j} + sum_i q_i a prefix sum of rank
+    counts (N - j for K = i + 1).  A window's moment is the difference of
+    two prefix sums less sum_i c_i * p_i, c_i = K_i(B) - K_i(A), so each
+    knot keeps one signed row x = W - K and each window is one exact dot of
+    the small row x(B) - x(A) with the numerators (within about +-L for the
+    tent, one window on [0, S] and one rank query per point).  O(N log N)
     per knot of g, independent of ell, for fewer than 2**31 points.
     """
     n = len(points)
@@ -408,41 +410,33 @@ def _pair_sum(points: PointSet, ell: float, f: TestFunction) -> Fraction:
     wraps = less_words(v_hi, v_lo, hi, lo).sum(axis=1).tolist()
     del v_hi, v_lo
 
-    # weights for one exact dot with the numerators: per knot the prefix
-    # weights, per window the counts c_i = K_i(B) - K_i(A)
+    # per knot one signed row x = W - K, and sum_i K_i and the turns as ints
     slot = {e: i for i, e in enumerate(knots)}
     lower = [slot[w[0]] for w in windows]
     upper = [slot[w[1]] for w in windows]
-    k_index = np.empty((len(knots), n), dtype=np.int64)
-    weights = np.empty((len(knots) + len(windows), n), dtype=np.int64)
-    turns = [0] * lead  # the 2**128 part of sum_i sum_{k < K_i} P(k), per knot
-    if lead:
-        k_index[0] = np.arange(1, n + 1)
-        weights[0] = np.arange(n, 0, -1)
-    # p is sorted, so the rows that wrap are the last ones
+    x = np.empty((len(knots), n), dtype=np.int64)
+    x[:lead] = np.arange(n - 1, -n - 1, -2)  # the lead knot: W = N - j, K = j + 1
+    k_sums = [n * (n + 1) // 2] * lead
+    turns = [0] * lead
+    # W = N + N*q + w - #{i : r_i <= j} and K = r_j + N*q, plus N on the w
+    # rows that wrap; p is sorted, so those are the last ones
     for t, ranks, q, w in zip(range(lead, len(knots)), r, turns0, wraps):
-        np.add(ranks, n * q, out=k_index[t])
-        k_index[t, n - w:] += n
-        np.cumsum(np.bincount(ranks, minlength=n + 1)[:n], out=weights[t])
-        np.subtract(n + n * q + w, weights[t], out=weights[t])
+        np.cumsum(np.bincount(ranks, minlength=n + 1)[:n], out=x[t])
+        x[t] += ranks
+        np.subtract(n + w, x[t], out=x[t])
+        x[t, n - w:] -= n
         r_sum, r_wrap = int(ranks.sum()), int(ranks[n - w:].sum())
+        k_sums.append(r_sum + n * (n * q + w))
         turns.append(n * (n * q * (q - 1) // 2 + w * q) + q * r_sum + r_wrap)
     del r
-    np.subtract(k_index[upper], k_index[lower], out=weights[len(knots):])
-    k_sums = k_index.sum(axis=1).tolist()
-    del k_index
-    sums = dot_words(weights, np.stack([hi, lo]))
-    del weights
-    prefix = [p_sum + (t << 128) for p_sum, t in zip(sums, turns)]  # sum_i sum_{k < K_i} P(k)
+    dots = dot_words(x[upper] - x[lower], (hi, lo))
 
     # sum over windows of u0 * count + u1 * moment / scale, over one denominator
     total = 0
-    for (a, b, u0, u1), i0, i1, correction in zip(windows, lower, upper, sums[len(knots):]):
-        count = k_sums[i1] - k_sums[i0]
-        moment = prefix[i1] - prefix[i0] - correction
-        for shift in range(max(1, -(-a // MODULUS)), -(-b // MODULUS)):
-            count -= n
-            moment -= n * shift * MODULUS
+    for (a, b, u0, u1), i0, i1, dot in zip(windows, lower, upper, dots):
+        shifts = range(max(1, -(-a // MODULUS)), -(-b // MODULUS))  # self pairs k = i + s*N
+        count = k_sums[i1] - k_sums[i0] - n * len(shifts)
+        moment = dot + ((turns[i1] - turns[i0] - n * sum(shifts)) << 128)
         total += u0 * count * scale.numerator + u1 * moment * scale.denominator
     return Fraction(total, den * scale.numerator)
 

@@ -268,6 +268,26 @@ def test_verify_trials_below_one_fails_fast(capsys, monkeypatch):
         assert "config error" in err and "trials" in err
 
 
+def test_verify_reads_config_values_like_every_command(tmp_path, capsys, monkeypatch):
+    # tol and seed go through CONFIG_KEYS: empty is the ExperimentConfig
+    # default, as for paircorr, and a bad value names its key
+    runs = []
+
+    def suite(selection, tol, seed, trials):
+        runs.append((tol, seed))
+        return {"passed": True}
+
+    monkeypatch.setattr(cli, "run_verification_suite", suite)
+    path = tmp_path / "verify.cfg"
+    path.write_text("tol =\nseed = 4\n", encoding="utf-8")
+    code, _, _ = run_cli(capsys, "verify", "--config", str(path), "--suites", "lemma1")
+    assert (code, runs) == (0, [(ExperimentConfig.tol, 4)])
+    path.write_text("tol = abc\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "verify", "--config", str(path), "--suites", "lemma1")
+    assert (code, out, runs) == (2, "", [(ExperimentConfig.tol, 4)])
+    assert err == "config error: bad value for tol: 'abc'\n"
+
+
 # ---------------------------------------------------------------------------
 # coeffs
 # ---------------------------------------------------------------------------

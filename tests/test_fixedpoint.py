@@ -223,6 +223,10 @@ def test_split_join_round_trip(num, k):
 # block boundaries at multiples of 2**14
 @example((M64 << 64) | 12345,
          [(-1) ** k * (k * 7919 + TOP % (k + 1)) for k in range(3 * (1 << 14) + 5)])
+# no negative term over two blocks: the negation is never taken
+@example((M64 << 64) | M64, [k * 7919 + TOP % (k + 1) for k in range((1 << 14) + 9)])
+# one negative term, in the last slot of the first block
+@example((3 << 64) | M64, [TOP - k for k in range((1 << 14) - 1)] + [-TOP, 5])
 def test_mul_words_matches_bigint(num, values):
     hi, lo = fp.mul_words(num, np.array(values, dtype=np.int64))
     assert hi.dtype == lo.dtype == np.uint64
@@ -398,16 +402,27 @@ def test_close_pairs_words_matches_bigint(nums, d):
     assert pairs == close_pairs_oracle(nums, d)
 
 
+# weights of either sign up to TOP = 2**62 - 1, the widest dot_words accepts
 @words_settings
-@given(st.lists(st.tuples(st.integers(0, (1 << 62) - 1) | st.sampled_from([0, 1, 1 << 40]),
-                          st.integers(0, (1 << 40) - 1),
+@given(st.lists(st.tuples(st.integers(-TOP, TOP) | st.sampled_from([0, 1, -1, 1 << 40]),
+                          st.integers(-(1 << 40), 1 << 40),
                           numerators), min_size=1, max_size=12))
-@example([((1 << 62) - 1, (1 << 40) - 1, MODULUS - 1), ((1 << 62) - 1, 0, MODULUS - 1)])
+@example([(TOP, (1 << 40) - 1, MODULUS - 1), (TOP, 0, MODULUS - 1)])
+@example([(-TOP, -(1 << 40), MODULUS - 1), (TOP, 1 << 40, M64)])
+# bits(max c) + bits(n) > 63: 1-bit limbs alone would overflow the sum of
+# eight products, so the columns go in chunks
+@example([(TOP, 1, MODULUS - 1)] * 8)
 def test_dot_words_matches_bigint(triples):
     c = np.array([[a for a, _, _ in triples], [b for _, b, _ in triples]], dtype=np.int64)
-    words = np.stack(fp.to_words([v for _, _, v in triples]))
+    words = fp.to_words([v for _, _, v in triples])
     assert fp.dot_words(c, words) == [sum(a * v for a, _, v in triples),
                                       sum(b * v for _, b, v in triples)]
+
+
+@pytest.mark.parametrize("weight", [TOP + 1, -TOP - 1, -(1 << 63)])
+def test_dot_words_rejects_weights_with_no_limb(weight):
+    with pytest.raises(ValueError):
+        fp.dot_words(np.array([[weight, 1]], dtype=np.int64), fp.to_words([1, 2]))
 
 
 @words_settings

@@ -696,6 +696,33 @@ def test_tent_kernel_ranks_each_point_once(monkeypatch):
             assert calls == [300]
 
 
+def test_pair_sum_dots_one_row_per_window(monkeypatch):
+    # the prefix weights and window counts fold into one signed row per
+    # knot, so each window's moment is one dot row: one for the tent, also
+    # at ell = 1, and one per folded window otherwise
+    rows = []
+    real_dot = stats.dot_words
+
+    def counted(c, words):
+        rows.append(c.shape[0])
+        return real_dot(c, words)
+
+    monkeypatch.setattr(stats, "dot_words", counted)
+    points = dilate_mod1(sample_alpha(7, 0), generate_sequence(SequenceSpec.monomial(2), 300))
+    for params in (WindowParams.from_beta(300, 0.3), WindowParams.from_L(300, 300.0)):
+        rows.clear()
+        number_variance_exact(points, params)
+        assert rows == [1]
+    params = WindowParams.from_beta(300, 0.3)
+    scale = Fraction(params.ell) * MODULUS
+    for f in (STEP_TABLE, TestFunction.indicator()):
+        windows = stats._folded_windows(f, scale)[1]
+        assert len(windows) > 1
+        rows.clear()
+        pair_correlation_direct(points, params, f)
+        assert rows == [len(windows)]
+
+
 # ---------------------------------------------------------------------------
 # pair correlation, spectral
 # ---------------------------------------------------------------------------
