@@ -348,13 +348,7 @@ def phase_top_bits(nn: np.ndarray, u_hi: np.ndarray, u_lo: np.ndarray) -> np.nda
     if nn.size and int(nn.max()) >= PHASE_N_BOUND:
         raise ValueError("phase multiplier n must be < 2**32")
     n_col = nn[:, None]
-    lo_lo = u_lo & _MASK32
-    lo_hi = u_lo >> _U64(32)
-    t0 = n_col * lo_lo[None, :]
-    t1 = n_col * lo_hi[None, :]
-    part = (t1 & _MASK32) << _U64(32)
-    low = part + t0
-    carry = (low < part).astype(np.uint64)
-    carry_tot = (t1 >> _U64(32)) + carry
-    v_hi = n_col * u_hi[None, :] + carry_tot
+    # high word of n * u_lo from 32-bit halves; for n < 2**32 no sum overflows
+    mid = n_col * (u_lo >> _U64(32))[None, :] + ((n_col * (u_lo & _MASK32)[None, :]) >> _U64(32))
+    v_hi = n_col * u_hi[None, :] + (mid >> _U64(32))
     return v_hi.astype(np.float64) * 2.0**-64

@@ -46,6 +46,8 @@ from .stats import (
 from . import theory
 
 MAX_N = 10**6
+# worker threads: a pool starts one per submitted cell up to this count
+MAX_WORKERS = 64
 MAX_ALPHA_SAMPLES = 10**4
 # Monte Carlo centers per cell; a counting cell holds about 48 bytes per
 # center, so 480 MB at the cap
@@ -87,6 +89,10 @@ def parse_schedule(text: str) -> Tuple[int, ...]:
                 a, b = int(lo), int(hi)
                 if b < a:
                     raise ValueError
+                # checked before expanding, so a huge range fails at once
+                top = max(abs(a), abs(b)) ** (2 if head == "m" else 1)
+                if top > MAX_N:
+                    raise BudgetError("schedule N=%d exceeds budget %d" % (top, MAX_N))
                 raw.extend(range(a, b + 1))
             else:
                 raw.append(int(tok))
@@ -120,14 +126,16 @@ class ExperimentConfig:
             raise ConfigError("beta must lie in [0, 1) so windows stay <= 1")
         if self.alpha_samples < 1:
             raise ConfigError("alpha_samples must be >= 1")
-        if self.delta <= 0:
-            raise ConfigError("delta must be positive")
+        if not (self.delta > 0 and math.isfinite(self.delta)):
+            raise ConfigError("delta must be finite and positive, got %r" % self.delta)
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
         if self.mc_samples is not None and self.mc_samples < 2:
             raise ConfigError("mc must be 0 (the exact route) or >= 2")
         if max(self.schedule) > MAX_N:
             raise BudgetError("schedule N=%d exceeds budget %d" % (max(self.schedule), MAX_N))
+        if self.workers > MAX_WORKERS:
+            raise BudgetError("workers=%d exceeds budget %d" % (self.workers, MAX_WORKERS))
         if self.alpha_samples > MAX_ALPHA_SAMPLES:
             raise BudgetError(
                 "alpha_samples=%d exceeds budget %d" % (self.alpha_samples, MAX_ALPHA_SAMPLES)
@@ -261,6 +269,16 @@ def rows_from_csv(text: str) -> List[ExperimentRow]:
 # variance experiment
 # ---------------------------------------------------------------------------
 
+def _generate(cfg: ExperimentConfig, n_value: int) -> IntegerSequence:
+    """The first n_value terms of cfg.seq; a sequence that cannot be built is a ConfigError."""
+    try:
+        return generate_sequence(cfg.seq, n_value)
+    except (OverflowError, ValueError) as exc:
+        raise ConfigError(
+            "cannot generate %s at N=%d: %s" % (cfg.seq.label(), n_value, exc)
+        ) from exc
+
+
 def _task_alpha(seed: int, n_value: int, index: int) -> FixedPointReal:
     """Dilation factor for one (N, index) cell: stream keyed by (seed, N)."""
     return sample_alpha(join(n_value, seed), index)
@@ -307,17 +325,8 @@ def run_variance_experiment(
     is a pure function of (seed, N, index).
     """
     cfg.validate()
-    sequences: Dict[int, IntegerSequence] = {}
-    params_by_n: Dict[int, WindowParams] = {}
-    for n_value in cfg.schedule:
-        if n_value not in sequences:
-            try:
-                sequences[n_value] = generate_sequence(cfg.seq, n_value)
-            except (OverflowError, ValueError) as exc:
-                raise ConfigError(
-                    "cannot generate %s at N=%d: %s" % (cfg.seq.label(), n_value, exc)
-                ) from exc
-            params_by_n[n_value] = WindowParams.from_beta(n_value, cfg.beta)
+    sequences = {n_value: _generate(cfg, n_value) for n_value in dict.fromkeys(cfg.schedule)}
+    params_by_n = {n_value: WindowParams.from_beta(n_value, cfg.beta) for n_value in sequences}
 
     tasks = [(n_value, idx) for n_value in cfg.schedule for idx in range(cfg.alpha_samples)]
 
@@ -336,11 +345,10 @@ def run_variance_experiment(
 
     if cfg.workers == 1:
         # kept serial: a one-thread pool lifted peak RSS at N = 10^6 from 141 to 151 MB
-        results = list(map(work, tasks))
+        rows = list(map(work, tasks))
     else:
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(work, tasks))
-    rows = results  # pool.map preserves task order
+            rows = list(pool.map(work, tasks))  # pool.map preserves task order
 
     summary = _summarize(cfg, rows)
     return rows, summary
@@ -391,13 +399,7 @@ def run_energy_sweep(cfg: ExperimentConfig) -> List[Dict]:
         )
     table = []
     for n_value in cfg.schedule:
-        try:
-            seq = generate_sequence(cfg.seq, n_value)
-        except (OverflowError, ValueError) as exc:
-            raise ConfigError(
-                "cannot generate %s at N=%d: %s" % (cfg.seq.label(), n_value, exc)
-            ) from exc
-        energy = additive_energy(seq).energy
+        energy = additive_energy(_generate(cfg, n_value)).energy
         table.append(
             {
                 "N": n_value,
@@ -432,87 +434,68 @@ def _random_alpha(rng: np.random.Generator) -> FixedPointReal:
     return FixedPointReal(join(w[0], w[1]))
 
 
-def _random_custom(
-    rng: np.random.Generator, n_value: int, lo: int, hi: int
+def _random_sequence(
+    rng: np.random.Generator, n_value: int, degrees: int, lo: int, hi: int
 ) -> IntegerSequence:
-    """n_value distinct terms drawn from [lo, hi), in shuffled order."""
+    """A monomial of degree 1..degrees, or n_value distinct terms from [lo, hi) shuffled."""
+    kind = int(rng.integers(0, degrees + 1))
+    if kind < degrees:
+        return generate_sequence(SequenceSpec.monomial(kind + 1), n_value)
     pool = rng.integers(lo, hi, size=3 * n_value + 8)
     vals = np.unique(pool)[:n_value]
     rng.shuffle(vals)
     return generate_sequence(SequenceSpec.custom([int(v) for v in vals]), n_value)
 
 
-def _random_sequence(rng: np.random.Generator, n_value: int) -> IntegerSequence:
-    kind = int(rng.integers(0, 4))
-    if kind < 3:
-        return generate_sequence(SequenceSpec.monomial(kind + 1), n_value)
-    return _random_custom(rng, n_value, -(10**7), 10**7)
+def _report(name: str, trials: int, failures: int, detail: str, **extra) -> Dict:
+    """One suite's report; extra counts sit between failures and passed."""
+    return dict(name=name, trials=trials, failures=failures, **extra,
+                passed=failures == 0, detail=detail)
 
 
 def _suite_lemma1(trials: int, seed: int) -> Dict:
     rng = _rng(seed, 0x4C31)
     failures = 0
-    worst = math.inf
+    margins = []
     for _ in range(trials):
         a = float(10.0 ** rng.uniform(-3.0, 3.0))
         res = theory.lemma1_check(a, tol=0.05 / a)
-        margin = res.bound - (res.lhs + res.tail_bound)
-        worst = min(worst, margin * a)  # scale-free margin
+        margins.append((res.bound - (res.lhs + res.tail_bound)) * a)  # scale-free margin
         failures += not res.ok
-    return {
-        "name": "lemma1",
-        "trials": trials,
-        "failures": failures,
-        "passed": failures == 0,
-        "detail": "worst scaled margin %.6f" % worst,
-    }
+    return _report("lemma1", trials, failures, "worst scaled margin %.6f" % min(margins))
 
 
 def _suite_lemma2(trials: int, seed: int) -> Dict:
     rng = _rng(seed, 0x4C32)
-    failures = 0
-    resampled = 0
-    worst = math.inf
-    done = 0
-    while done < trials:
+    failures = resampled = 0
+    margins = []
+    while len(margins) < trials:
         w_r = int(rng.integers(1, 10**6 + 1)) * (1 if rng.integers(0, 2) else -1)
         w_s = int(rng.integers(1, 10**6 + 1)) * (1 if rng.integers(0, 2) else -1)
         n_value = int(10 ** rng.uniform(2.0, 6.0))
         beta = float(rng.uniform(0.0, 0.5))
-        params = WindowParams.from_beta(n_value, beta)
-        d = math.gcd(abs(w_r), abs(w_s))
-        bound = d / math.sqrt(abs(w_r) * abs(w_s))
-        tol = 0.05 * bound
-        a = params.ell
-        f_r = a * abs(w_r) / d
-        f_s = a * abs(w_s) / d
-        est_terms = (4.0 * a / (3.0 * math.pi**4 * f_r**2 * f_s**2 * tol)) ** (1.0 / 3.0)
-        if est_terms > 5e7:
+        try:
+            res = theory.lemma2_check(w_r, w_s, WindowParams.from_beta(n_value, beta))
+        except BudgetError:
             resampled += 1  # truncation point out of budget; draw another tuple
             continue
-        res = theory.lemma2_check(w_r, w_s, params, tol=tol)
-        worst = min(worst, (res.bound - res.lhs) / res.bound)
+        margins.append((res.bound - res.lhs) / res.bound)
         failures += not res.ok
-        done += 1
-    return {
-        "name": "lemma2",
-        "trials": trials,
-        "failures": failures,
-        "resampled": resampled,
-        "passed": failures == 0,
-        "detail": "worst relative margin %.6f" % worst,
-    }
+    return _report(
+        "lemma2", trials, failures, "worst relative margin %.6f" % min(margins),
+        resampled=resampled,
+    )
 
 
 def _suite_identity(instances: int, seed: int) -> Dict:
     rng = _rng(seed, 0x4944)
     failures = 0
-    worst = 0.0
+    errors = []
     f_tent = TestFunction.tent()
     for _ in range(instances):
         n_value = int(rng.integers(2, 501))
         beta = float(rng.uniform(0.0, 0.5))
-        seq = _random_sequence(rng, n_value)
+        seq = _random_sequence(rng, n_value, 3, -(10**7), 10**7)
         params = WindowParams.from_beta(n_value, beta)
         points = dilate_mod1(_random_alpha(rng), seq)
         sigma2 = number_variance_exact(points, params).sigma2
@@ -520,15 +503,9 @@ def _suite_identity(instances: int, seed: int) -> Dict:
         L = params.L
         err = abs(sigma2 - (L - L * L + L * r2))
         scale = max(1.0, L * L)
-        worst = max(worst, err / scale)
+        errors.append(err / scale)
         failures += err > 1e-9 * scale
-    return {
-        "name": "identity",
-        "trials": instances,
-        "failures": failures,
-        "passed": failures == 0,
-        "detail": "worst scaled error %.3e" % worst,
-    }
+    return _report("identity", instances, failures, "worst scaled error %.3e" % max(errors))
 
 
 # Prime dilation-grid size for the mean suite: differences of the test
@@ -540,37 +517,22 @@ MEAN_SUITE_GRID = 6151
 def _suite_mean(instances: int, seed: int) -> Dict:
     rng = _rng(seed, 0x4D45)
     failures = 0
-    worst = 0.0
+    errors = []
     for _ in range(instances):
         n_value = int(rng.integers(4, 65))
         beta = float(rng.uniform(0.0, 0.5))
-        kind = int(rng.integers(0, 3))
-        if kind == 0:
-            seq = generate_sequence(SequenceSpec.monomial(1), n_value)
-        elif kind == 1:
-            seq = generate_sequence(SequenceSpec.monomial(2), n_value)
-        else:
-            seq = _random_custom(rng, n_value, -2047, 2048)
+        seq = _random_sequence(rng, n_value, 2, -2047, 2048)
         params = WindowParams.from_beta(n_value, beta)
         grid_vals = theory.pair_correlation_grid(seq, params, MEAN_SUITE_GRID)
         mean = float(np.mean(grid_vals))
         expect = theory.mean_pair_correlation(params)
         rel = abs(mean - expect) / expect
-        worst = max(worst, rel)
+        errors.append(rel)
         failures += rel > 1e-4
-    return {
-        "name": "mean",
-        "trials": instances,
-        "failures": failures,
-        "passed": failures == 0,
-        "detail": "worst relative error %.3e" % worst,
-    }
+    return _report("mean", instances, failures, "worst relative error %.3e" % max(errors))
 
 
 def _suite_parseval(seed: int, tol: float) -> Dict:
-    if tol <= 0:
-        # surface the impossible-truncation case the same way the kernels do
-        raise BudgetError("tol must be positive: the truncation point diverges")
     seq = generate_sequence(SequenceSpec.custom([1, 2, 3, 5]), 4)
     params = WindowParams.from_beta(4, 0.3)
     via_parseval = theory.x_second_moment(seq, params, method="parseval", tol=min(tol, 1e-6))
@@ -592,13 +554,9 @@ def _suite_parseval(seed: int, tol: float) -> Dict:
     moment = theory.x_second_moment(seq2, params2, method="parseval", tol=1e-4)
     gap = (quad_second - (mean2 + moment)) / quad_second
     checks.append(-0.01 <= gap <= 0.05)
-    return {
-        "name": "parseval",
-        "trials": 2,
-        "failures": int(not checks[0]) + int(not checks[1]),
-        "passed": all(checks),
-        "detail": "dual-route rel %.3e, closure gap %.3e" % (rel, gap),
-    }
+    return _report(
+        "parseval", 2, checks.count(False), "dual-route rel %.3e, closure gap %.3e" % (rel, gap)
+    )
 
 
 def run_verification_suite(
@@ -626,17 +584,15 @@ def run_verification_suite(
             "tol must be positive: every truncated check would need "
             "infinitely many terms"
         )
-    suites = []
-    if "lemma1" in wanted:
-        suites.append(_suite_lemma1(trials, seed))
-    if "lemma2" in wanted:
-        suites.append(_suite_lemma2(trials, seed))
-    if "identity" in wanted:
-        suites.append(_suite_identity(instances, seed))
-    if "mean" in wanted:
-        suites.append(_suite_mean(min(instances, 20), seed))
-    if "parseval" in wanted:
-        suites.append(_suite_parseval(seed, tol))
+    # looked up when called, so each suite can be swapped out by name
+    runs = {
+        "lemma1": lambda: _suite_lemma1(trials, seed),
+        "lemma2": lambda: _suite_lemma2(trials, seed),
+        "identity": lambda: _suite_identity(instances, seed),
+        "mean": lambda: _suite_mean(min(instances, 20), seed),
+        "parseval": lambda: _suite_parseval(seed, tol),
+    }
+    suites = [runs[name]() for name in _SUITE_NAMES if name in wanted]
     return {
         "passed": all(s["passed"] for s in suites),
         "seed": seed,

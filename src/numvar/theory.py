@@ -39,6 +39,9 @@ from .stats import (
 )
 
 _SUM_CHUNK = 1 << 22
+# Ceiling on the terms M a lemma check sums; M above it raises BudgetError
+# before any term is summed (demo 05 and the verify suites stay far below)
+_LEMMA_TERM_CEILING = 5 * 10**7
 
 # Ceiling on N for the alpha_grid quadrature, which runs one direct pair
 # correlation per grid point; the parseval route has no such cap.
@@ -77,20 +80,29 @@ def _sum_chunked(total_terms: int, term_fn) -> float:
     return float(np.sum(np.asarray(chunk_sums))) if chunk_sums else 0.0
 
 
+def _lemma_terms(est: float) -> int:
+    """Truncation point M = max(8, ceil(est)); BudgetError when M > _LEMMA_TERM_CEILING."""
+    m_terms = max(8.0, est)
+    if not m_terms <= _LEMMA_TERM_CEILING:  # for a whole ceiling, the same as ceil(m_terms) > it
+        raise BudgetError("lemma check needs M=%.4g terms > %d" % (m_terms, _LEMMA_TERM_CEILING))
+    return math.ceil(m_terms)
+
+
 def lemma1_check(a: float, tol: float = 1e-9) -> Lemma1Result:
     """Check sum over n != 0 of tent_fourier(a n)^2 against 1/|a|.
 
     The sum is truncated at M chosen so the tail bound 4/(3 pi^4 a^4
     M^3) is at most tol (each tail term is below 1/(pi a n)^4); ok
     requires lhs + tail_bound < 1/|a|, so truncation cannot flip a
-    failing check to passing.
+    failing check to passing.  M above _LEMMA_TERM_CEILING raises
+    BudgetError before anything is summed.
     """
     if a == 0:
         raise ValueError("a must be nonzero")
     if tol <= 0 or not math.isfinite(tol):
         raise BudgetError("tol must be positive: the truncation point diverges")
     aa = abs(a)
-    m_terms = max(8, math.ceil((4.0 / (3.0 * math.pi**4 * aa**4 * tol)) ** (1.0 / 3.0)))
+    m_terms = _lemma_terms((4.0 / (3.0 * math.pi**4 * aa**4 * tol)) ** (1.0 / 3.0))
     lhs = 2.0 * _sum_chunked(m_terms, lambda nn: np.sinc(aa * nn) ** 4)
     tail = 4.0 / (3.0 * math.pi**4 * aa**4 * m_terms**3)
     bound = 1.0 / aa
@@ -110,7 +122,8 @@ def lemma2_check(
     tol by the quartic decay of the summand.
 
     tol defaults to 5% of the bound, keeping truncation cheap at every
-    scale while leaving a wide rigorous margin.
+    scale while leaving a wide rigorous margin.  M above
+    _LEMMA_TERM_CEILING raises BudgetError before anything is summed.
     """
     if w_r == 0 or w_s == 0:
         raise ValueError("w_r and w_s must be nonzero")
@@ -124,10 +137,7 @@ def lemma2_check(
     f_r = a * abs(w_r) / d
     f_s = a * abs(w_s) / d
     # tail term at n: (pi^2 f_r f_s n^2)^-2; both signs, integral bound
-    m_terms = max(
-        8,
-        math.ceil((4.0 * a / (3.0 * math.pi**4 * f_r**2 * f_s**2 * tol)) ** (1.0 / 3.0)),
-    )
+    m_terms = _lemma_terms((4.0 * a / (3.0 * math.pi**4 * f_r**2 * f_s**2 * tol)) ** (1.0 / 3.0))
     body = _sum_chunked(
         m_terms, lambda nn: (np.sinc(f_r * nn) ** 2) * (np.sinc(f_s * nn) ** 2)
     )

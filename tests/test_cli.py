@@ -214,6 +214,21 @@ def test_bad_mc_exit_codes(capsys, monkeypatch):
         assert word in err and "mc" in err
 
 
+@pytest.mark.parametrize("delta", ["nan", "inf"])
+def test_non_finite_delta_is_config_error(capsys, monkeypatch, delta):
+    # a NaN delta once exited 0 with "delta": NaN, which is not JSON
+    def never(*args):
+        raise AssertionError("sequence generated before the delta check")
+
+    monkeypatch.setattr(harness, "generate_sequence", never)
+    code, out, err = run_cli(
+        capsys, "variance", "--seq", "monomial:d=2", "--schedule", "n=25",
+        "--delta", delta, "--format", "json",
+    )
+    assert (code, out) == (2, "")
+    assert "config error" in err and "delta" in err
+
+
 def test_failed_cell_keeps_exit_code(capsys, monkeypatch):
     # a cell error reaches main() as its own class, with N and sample
     def boom(*args):

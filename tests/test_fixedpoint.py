@@ -431,6 +431,10 @@ def test_dot_words_rejects_weights_with_no_limb(weight):
     st.lists(numerators, min_size=1, max_size=6),
 )
 @example([fp.PHASE_N_BOUND - 1, 1], [MODULUS - 1, M64])
+# the largest carries into the high word: n = 2**32 - 1 with u_lo all ones
+# and with u_lo = 2**32 - 1
+@example([fp.PHASE_N_BOUND - 1], [M64])
+@example([fp.PHASE_N_BOUND - 1], [(1 << 32) - 1])
 def test_phase_top_bits_within_two_to_minus_64(ns, nums):
     u_hi, u_lo = fp.to_words(nums)
     theta = fp.phase_top_bits(np.array(ns, dtype=np.uint64), u_hi, u_lo)

@@ -71,6 +71,13 @@ def test_schedule_rejects_malformed():
             parse_schedule(bad)
 
 
+def test_schedule_range_over_budget_fails_before_expanding():
+    for text in ("n=1..2000000", "m=1..1001", "n=5, 1..2000000", "m=-1001..3"):
+        with pytest.raises(BudgetError, match="exceeds budget"):
+            parse_schedule(text)
+    assert parse_schedule("m=998..1000")[-1] == harness.MAX_N
+
+
 # ---------------------------------------------------------------------------
 # config validation
 # ---------------------------------------------------------------------------
@@ -82,8 +89,9 @@ def test_config_validation_errors():
         make_config(beta=-0.1).validate()
     with pytest.raises(ConfigError):
         make_config(alpha_samples=0).validate()
-    with pytest.raises(ConfigError):
-        make_config(delta=0.0).validate()
+    for delta in (0.0, math.nan, math.inf):
+        with pytest.raises(ConfigError, match="delta"):
+            make_config(delta=delta).validate()
     with pytest.raises(ConfigError):
         make_config(workers=0).validate()
     with pytest.raises(ConfigError):
@@ -95,6 +103,9 @@ def test_config_budget_errors():
         make_config(schedule=(10**6 + 1,)).validate()
     with pytest.raises(BudgetError):
         make_config(alpha_samples=10**4 + 1).validate()
+    with pytest.raises(BudgetError, match="workers"):
+        make_config(workers=harness.MAX_WORKERS + 1).validate()
+    make_config(workers=harness.MAX_WORKERS).validate()
 
 
 def test_regime_flag():
@@ -412,6 +423,26 @@ def test_suite_lemma_sweeps_small():
     for suite in report["suites"]:
         assert suite["failures"] == 0
         assert suite["trials"] == 150
+
+
+def test_suite_report_key_order():
+    report = run_verification_suite(
+        ("lemma1", "lemma2", "identity"), seed=2, trials=5, instances=2
+    )
+    assert [list(s) for s in report["suites"]] == [
+        ["name", "trials", "failures", "passed", "detail"],
+        ["name", "trials", "failures", "resampled", "passed", "detail"],
+        ["name", "trials", "failures", "passed", "detail"],
+    ]
+
+
+def test_suite_lemma2_resamples_tuples_over_the_term_ceiling(monkeypatch):
+    assert run_verification_suite(("lemma2",), seed=0, trials=100)["suites"][0]["resampled"] == 0
+    # at M = 8 terms the few draws with a larger truncation point go over
+    monkeypatch.setattr(harness.theory, "_LEMMA_TERM_CEILING", 8)
+    suite = run_verification_suite(("lemma2",), seed=0, trials=100)["suites"][0]
+    assert suite["resampled"] > 0
+    assert suite["trials"] == 100 and suite["failures"] == 0
 
 
 def test_suite_mean_and_parseval_small():

@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+import numvar.theory as theory
 from numvar import (
     BudgetError,
     FixedPointReal,
@@ -98,6 +99,19 @@ def test_lemma1_sweep_always_holds():
         assert res.ok
 
 
+def test_lemma1_term_ceiling_raises_before_summing(monkeypatch):
+    def never(*args):
+        raise AssertionError("summed past the term ceiling")
+
+    monkeypatch.setattr(theory, "_sum_chunked", never)
+    # M ~ 2.4e11 terms: over the ceiling, so it fails at once
+    with pytest.raises(BudgetError, match="lemma check needs M="):
+        lemma1_check(1e-6, tol=1e-12)
+    monkeypatch.setattr(theory, "_LEMMA_TERM_CEILING", 1000)
+    with pytest.raises(BudgetError, match="lemma check needs M="):
+        lemma1_check(0.5, tol=1e-12)  # M ~ 6000
+
+
 # ---------------------------------------------------------------------------
 # paired-frequency gcd bound
 # ---------------------------------------------------------------------------
@@ -143,6 +157,18 @@ def test_lemma2_errors():
         lemma2_check(5, 0, params)
     with pytest.raises(BudgetError):
         lemma2_check(1, 1, params, tol=0.0)
+
+
+def test_lemma2_term_ceiling_raises_before_summing(monkeypatch):
+    def never(*args):
+        raise AssertionError("summed past the term ceiling")
+
+    monkeypatch.setattr(theory, "_sum_chunked", never)
+    with pytest.raises(BudgetError, match="lemma check needs M="):
+        lemma2_check(1, 1, WindowParams.from_beta(1000, 0.0), tol=1e-20)  # M ~ 1e9
+    monkeypatch.setattr(theory, "_LEMMA_TERM_CEILING", 8)
+    with pytest.raises(BudgetError, match="lemma check needs M="):
+        lemma2_check(1, 1, WindowParams.from_L(2, 1.0), tol=1e-9)  # M ~ 480
 
 
 def test_lemma2_sweep_always_holds():
