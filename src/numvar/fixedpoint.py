@@ -343,7 +343,11 @@ def phase_top_bits(nn: np.ndarray, u_hi: np.ndarray, u_lo: np.ndarray) -> np.nda
 
     nn must be < PHASE_N_BOUND so 32-bit limb products fit in uint64;
     larger n raise ValueError.  The dropped low word perturbs each phase
-    by < 2**-64 turns before the final rounding to float64.
+    by < 2**-64 turns before the final rounding to float64.  The spectral
+    kernel (stats._phase_sum) takes e(n u) as the product of two such
+    phases, e(n0 u) * e(k u) with n = n0 + k < 2**32, so its phase is off
+    by < 2**-63 turns before rounding; it sums the products in fixed
+    blocks, with no BLAS, so the order of the reduction is fixed too.
     """
     if nn.size and int(nn.max()) >= PHASE_N_BOUND:
         raise ValueError("phase multiplier n must be < 2**32")

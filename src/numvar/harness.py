@@ -46,6 +46,8 @@ from .stats import (
 from . import theory
 
 MAX_N = 10**6
+# entries in one schedule; each range is counted before it is expanded
+MAX_SCHEDULE_LEN = 10**4
 # worker threads: a pool starts one per submitted cell up to this count
 MAX_WORKERS = 64
 MAX_ALPHA_SAMPLES = 10**4
@@ -74,7 +76,9 @@ def parse_schedule(text: str) -> Tuple[int, ...]:
 
     "m=100..317" or "m=100,224,317": N values m^2 along the listed or
     ranged m.  "n=1000,2000,...": explicit N values.  Range syntax A..B
-    is inclusive and valid in any comma-separated position.
+    is inclusive and valid in any comma-separated position.  A range past
+    MAX_N, or one that would take the schedule past MAX_SCHEDULE_LEN
+    entries, raises BudgetError before it is expanded.
     """
     head, sep, rest = text.strip().partition("=")
     head = head.strip()
@@ -93,11 +97,13 @@ def parse_schedule(text: str) -> Tuple[int, ...]:
                 top = max(abs(a), abs(b)) ** (2 if head == "m" else 1)
                 if top > MAX_N:
                     raise BudgetError("schedule N=%d exceeds budget %d" % (top, MAX_N))
-                raw.extend(range(a, b + 1))
             else:
-                raw.append(int(tok))
+                a = b = int(tok)
         except ValueError:
             raise ConfigError("bad schedule token %r" % tok) from None
+        if len(raw) + b - a + 1 > MAX_SCHEDULE_LEN:
+            raise BudgetError("schedule has more than %d entries" % MAX_SCHEDULE_LEN)
+        raw.extend(range(a, b + 1))
     if head == "m":
         values = [m * m for m in raw]
     else:
@@ -134,6 +140,8 @@ class ExperimentConfig:
             raise ConfigError("mc must be 0 (the exact route) or >= 2")
         if max(self.schedule) > MAX_N:
             raise BudgetError("schedule N=%d exceeds budget %d" % (max(self.schedule), MAX_N))
+        if len(self.schedule) > MAX_SCHEDULE_LEN:
+            raise BudgetError("schedule has more than %d entries" % MAX_SCHEDULE_LEN)
         if self.workers > MAX_WORKERS:
             raise BudgetError("workers=%d exceeds budget %d" % (self.workers, MAX_WORKERS))
         if self.alpha_samples > MAX_ALPHA_SAMPLES:

@@ -41,10 +41,13 @@ stay small; the counts go back to draw order before they are reduced,
 so the estimate is the same float as counting the centers as drawn.
 
 The spectral route (pair_correlation_fourier, and through it
-number_variance_fourier) sums |T_n|^2 over 1 <= n <= M in fixed chunks
-of 2**16 phases, so a chunk stays in cache and the reduction order is
-fixed.  M is the least truncation point at which a rigorous tail bound
-is <= tol: the smallest of the trivial bound ||T_n|^2 - N| <= N(N-1) and
+number_variance_fourier) sums |T_n|^2 over 1 <= n <= M by baby steps
+and giant steps: each phase e(n x_j) is the product of two phases taken
+exactly from the numerators, so the M*N cos/sin calls become about
+(M/B + B)*N for B near sqrt(M), and the sums over the points run in
+fixed blocks with no BLAS, so the reduction order is fixed.  M is the
+least truncation point at which a rigorous tail bound is <= tol: the
+smallest of the trivial bound ||T_n|^2 - N| <= N(N-1) and
 the large sieve at two spacings, the least circular gap delta of the
 dilated points (Montgomery-Vaughan) and 1/(4N) with the number of
 pairs closer than that, both taken exactly from the numerators.  Both
@@ -89,8 +92,9 @@ _CENTER_STREAM = 0x63656E74  # Philox counter tag for window centers
 # Ceiling on spectral-sum terms; BudgetError above this (raise tol instead).
 FOURIER_TERM_CEILING = 10**9
 
-# Phases per chunk of the spectral kernel: a fixed constant, so reductions
-# are order-deterministic, and small enough that a chunk stays in cache.
+# Complex entries per phase table and per product block of the spectral
+# kernel: a fixed constant, so reductions are order-deterministic, and small
+# enough that the blocks stay in cache.
 _PHASE_CHUNK_ENTRIES = 1 << 16
 
 # Monte Carlo centers per counting block: rank queries on sorted keys run
@@ -594,9 +598,9 @@ def pair_correlation_fourier(
     M must stay below 2**32, the range where the phases are exact, and
     below max_terms.
 
-    The phases are summed over fixed chunks of n of about
-    _PHASE_CHUNK_ENTRIES phases each, so the working set stays in cache
-    and the reduction order is fixed.
+    The kernel (_phase_sum) takes each phase as the product of two exact
+    table phases and sums in fixed blocks with no BLAS, so the working set
+    stays in cache and the reduction order is fixed.
     """
     n_pts = len(seq)
     if params.N != n_pts:
@@ -666,16 +670,47 @@ def _truncation_point(n_pts: int, L: float, tol: float, gap: int, pairs: int):
 
 
 def _phase_sum(u_hi, u_lo, ell: float, n_lo: int, n_hi: int) -> float:
-    """sum_{n_lo <= n < n_hi} tent_fourier(ell*n) * (|T_n|^2 - N) over the words u."""
+    """sum_{n_lo <= n < n_hi} tent_fourier(ell*n) * (|T_n|^2 - N) over the words u.
+
+    Baby steps and giant steps: n * u = n0 * u + k * u mod 2**128, so
+    e(n x_j) = e(n0 x_j) * e(k x_j) for n = n0 + k, 0 <= k < B, and each
+    factor comes from phase_top_bits, off by < 2**-64 turns before rounding.
+    B is the power of two nearest sqrt(min(n_hi - n_lo, E)), E =
+    _PHASE_CHUNK_ENTRIES, which minimises the B + E/B phase rows behind
+    a block of E products.  Per block of E/B giant steps n0 and per block
+    of points, T_{n0+k} gains one np.einsum of the giant rows with the
+    baby table, so the cos/sin calls drop from (n_hi - n_lo)*N to about
+    ((n_hi - n_lo)/B + B)*N.  No table or block exceeds E entries, and the
+    points are blocked in index order with no BLAS (einsum's default
+    optimize=False), so the reduction order is a fixed function of
+    (N, n_lo, n_hi), whatever the thread count.
+    """
     n_pts = u_hi.size
-    chunk = max(1, _PHASE_CHUNK_ENTRIES // n_pts)
+    count = n_hi - n_lo
+    if count <= 0:
+        return 0.0
+    baby = 1 << round(math.log2(min(count, _PHASE_CHUNK_ENTRIES)) / 2)
+    rows = min(-(-count // baby), _PHASE_CHUNK_ENTRIES // baby)  # giant steps per block
+    block = _PHASE_CHUNK_ENTRIES // max(baby, rows)  # points per table
+    ks = np.arange(baby, dtype=np.uint64)
     chunk_sums = []
-    for n0 in range(n_lo, n_hi, chunk):
-        nn = np.arange(n0, min(n0 + chunk, n_hi), dtype=np.uint64)
-        ang = (2.0 * np.pi) * phase_top_bits(nn, u_hi, u_lo)
-        t_re = np.cos(ang).sum(axis=1)
-        t_im = np.sin(ang).sum(axis=1)
-        abs_t2 = t_re * t_re + t_im * t_im
+    for n0 in range(n_lo, n_hi, rows * baby):
+        nn = np.arange(n0, min(n0 + rows * baby, n_hi), dtype=np.uint64)
+        t = np.zeros((-(-nn.size // baby), baby), dtype=np.complex128)
+        for j in range(0, n_pts, block):
+            hi, lo = u_hi[j:j + block], u_lo[j:j + block]
+            t += np.einsum("rj,kj->rk", _unit_phases(nn[::baby], hi, lo), _unit_phases(ks, hi, lo))
+        t = t.ravel()[:nn.size]
+        abs_t2 = t.real * t.real + t.imag * t.imag
         w = np.sinc(ell * nn.astype(np.float64)) ** 2
         chunk_sums.append(np.sum(w * (abs_t2 - n_pts)))
-    return float(np.sum(np.asarray(chunk_sums))) if chunk_sums else 0.0
+    return float(np.sum(np.asarray(chunk_sums)))
+
+
+def _unit_phases(nn, u_hi, u_lo):
+    """e(n * x_j) = exp(2 pi i n u_j / 2**128), one row per n."""
+    ang = (2.0 * np.pi) * phase_top_bits(nn, u_hi, u_lo)
+    out = np.empty(ang.shape, dtype=np.complex128)
+    np.cos(ang, out=out.real)
+    np.sin(ang, out=out.imag)
+    return out

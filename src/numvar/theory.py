@@ -97,14 +97,17 @@ def lemma1_check(a: float, tol: float = 1e-9) -> Lemma1Result:
     failing check to passing.  M above _LEMMA_TERM_CEILING raises
     BudgetError before anything is summed.
     """
-    if a == 0:
-        raise ValueError("a must be nonzero")
+    if a == 0 or not math.isfinite(a):
+        raise ValueError("a must be finite and nonzero, got %r" % a)
     if tol <= 0 or not math.isfinite(tol):
         raise BudgetError("tol must be positive: the truncation point diverges")
     aa = abs(a)
-    m_terms = _lemma_terms((4.0 / (3.0 * math.pi**4 * aa**4 * tol)) ** (1.0 / 3.0))
+    # M^3 * tail = 4/(3 pi^4 a^4), taken through its cube root: a**4
+    # under- or overflows long before the root or the estimate does
+    root = (4.0 / (3.0 * math.pi**4)) ** (1.0 / 3.0) / aa / aa ** (1.0 / 3.0)
+    m_terms = _lemma_terms(root / tol ** (1.0 / 3.0))
     lhs = 2.0 * _sum_chunked(m_terms, lambda nn: np.sinc(aa * nn) ** 4)
-    tail = 4.0 / (3.0 * math.pi**4 * aa**4 * m_terms**3)
+    tail = (root / m_terms) ** 3
     bound = 1.0 / aa
     return Lemma1Result(lhs=lhs, tail_bound=tail, bound=bound, ok=bool(lhs + tail < bound))
 
@@ -308,8 +311,8 @@ def deviation_measure(
     seed: int,
 ) -> float:
     """Fraction of sampled dilations with |variance - L| > delta * L."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not (delta > 0 and math.isfinite(delta)):
+        raise ValueError("delta must be finite and positive, got %r" % delta)
     if alpha_samples < 1:
         raise ValueError("alpha_samples must be >= 1")
     seq = generate_sequence(seq_spec, params.N)

@@ -77,8 +77,9 @@ def test_criterion_02_direct_and_spectral_routes_agree():
     # dilated-sequence instances with N <= 500.  The truncation count
     # for the spectral route grows like N^3 / (L * tol), so instances
     # are drawn where that count stays below 6e7 summand evaluations
-    # (about a second each); larger N at this tol would need hours per
-    # instance without changing the code path being checked.
+    # (under a fifth of a second each with the baby/giant kernel);
+    # larger N at this tol would need hours per instance without
+    # changing the code path being checked.
     rng = np.random.default_rng(2)
     tol = 1e-6
     f = TestFunction.tent()

@@ -78,6 +78,17 @@ def test_schedule_range_over_budget_fails_before_expanding():
     assert parse_schedule("m=998..1000")[-1] == harness.MAX_N
 
 
+def test_schedule_length_budget_fails_before_expanding():
+    # every range is within MAX_N, but together they are too many entries
+    for text in ("n=" + ",".join(["1..1000000"] * 2), "n=1..10000,1", "m=" + ",".join(["1..1000"] * 11)):
+        with pytest.raises(BudgetError, match="entries"):
+            parse_schedule(text)
+    assert len(parse_schedule("n=1..10000")) == harness.MAX_SCHEDULE_LEN
+    assert len(parse_schedule("m=1..1000")) == 1000
+    with pytest.raises(BudgetError, match="entries"):
+        make_config(schedule=(1,) * (harness.MAX_SCHEDULE_LEN + 1)).validate()
+
+
 # ---------------------------------------------------------------------------
 # config validation
 # ---------------------------------------------------------------------------

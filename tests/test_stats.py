@@ -11,6 +11,9 @@ over ordered pairs and explicit integer shifts.  Everything else
 
 import bisect
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -134,6 +137,24 @@ def exact_pair_sum(points: PointSet, ell: float, f) -> Fraction:
                 for m in range(-span, span + 1):
                     total += exact_f(f, (nums[i] - nums[j] + m * MODULUS) / scale)
     return total
+
+
+def phase_sum_oracle(u_hi, u_lo, ell: float, n_lo: int, n_hi: int) -> float:
+    """sum_{n_lo <= n < n_hi} sinc(ell n)^2 (|T_n|^2 - N), one cos/sin per phase.
+
+    The spectral kernel before its baby-step/giant-step form: every phase
+    e(n x_j) straight from phase_top_bits, in chunks of 2**16 phases.
+    """
+    n_pts = u_hi.size
+    chunk = max(1, (1 << 16) // n_pts)
+    chunk_sums = []
+    for n0 in range(n_lo, n_hi, chunk):
+        nn = np.arange(n0, min(n0 + chunk, n_hi), dtype=np.uint64)
+        ang = (2.0 * np.pi) * fp.phase_top_bits(nn, u_hi, u_lo)
+        abs_t2 = np.cos(ang).sum(axis=1) ** 2 + np.sin(ang).sum(axis=1) ** 2
+        w = np.sinc(ell * nn.astype(np.float64)) ** 2
+        chunk_sums.append(np.sum(w * (abs_t2 - n_pts)))
+    return float(np.sum(np.asarray(chunk_sums))) if chunk_sums else 0.0
 
 
 def random_points(rng, n):
@@ -833,6 +854,59 @@ def test_fourier_bound_covers_measured_tail():
         assert got.truncation_bound == bound <= tol
         tail = stats._phase_sum(u_hi, u_lo, params.ell, m_terms + 1, 20 * m_terms + 1)
         assert 2.0 * params.L / len(vals) ** 2 * abs(tail) <= bound
+
+
+def test_phase_sum_matches_per_n_oracle(monkeypatch):
+    # (2L/N^2) * _phase_sum is R2's tail; the baby/giant kernel must give
+    # the per-n cos/sin sum up to rounding.  Shrinking the block size to
+    # 2**8 entries makes small cases cross every boundary: several giant
+    # and product blocks, a last giant row cut short, and point blocks of
+    # 16 that do not divide N.
+    rng = np.random.default_rng(4242)
+
+    def words(n, alpha):
+        seq = generate_sequence(SequenceSpec.custom(sorted(
+            int(v) for v in set(rng.integers(-(10**6), 10**6, size=4 * n)))[:n]), n)
+        return fp.mul_words(alpha.numerator, seq.terms)
+
+    def check(u_hi, u_lo, n_lo, n_hi):
+        n = u_hi.size
+        params = WindowParams.from_beta(max(n, 2), 0.3)
+        scale = 2.0 * params.L / n**2
+        got = stats._phase_sum(u_hi, u_lo, params.ell, n_lo, n_hi)
+        want = phase_sum_oracle(u_hi, u_lo, params.ell, n_lo, n_hi)
+        assert abs(got - want) * scale <= 1e-12, (n, n_lo, n_hi)
+
+    top = fp.PHASE_N_BOUND
+    for entries in (stats._PHASE_CHUNK_ENTRIES, 1 << 8):
+        monkeypatch.setattr(stats, "_PHASE_CHUNK_ENTRIES", entries)
+        alpha = sample_alpha(int(rng.integers(1 << 62)), 0)
+        for n in (1, 2, 7, 37, 300):
+            u_hi, u_lo = words(n, alpha)
+            for n_lo, count in ((1, 1), (1, 2), (1, 3), (1, 1000), (37, 1), (37, 517),
+                                (1000, 3961), (top - 700, 700), (top - 5, 3)):
+                check(u_hi, u_lo, n_lo, n_lo + count)
+        # tied points (alpha = 0): every T_n = N
+        u_hi, u_lo = words(12, FixedPointReal(0))
+        check(u_hi, u_lo, 1, 2000)
+    check(*words(2, FixedPointReal.from_fraction(1, 2)), 5, 70_007)  # several product blocks
+    assert stats._phase_sum(u_hi, u_lo, 0.1, 9, 9) == 0.0
+
+
+def test_paircorr_bytes_independent_of_blas_threads():
+    # the spectral reduction uses no BLAS, so the thread count of the BLAS
+    # library cannot change a bit of the output
+    cmd = [sys.executable, "-m", "numvar.cli", "paircorr", "--seq", "monomial:d=2",
+           "--schedule", "n=60,300", "--alphas", "2", "--tol", "1e-2", "--seed", "3"]
+    src = os.path.dirname(os.path.dirname(stats.__file__))
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(cmd, capture_output=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1] and outs[0].count(b"\r\n") == 5
 
 
 def test_fourier_tied_points_keep_trivial_truncation():

@@ -87,6 +87,14 @@ def test_lemma1_errors():
         lemma1_check(0.5, tol=0.0)
     with pytest.raises(BudgetError):
         lemma1_check(0.5, tol=-1e-3)
+    for a in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            lemma1_check(a)
+    # a**4 under- or overflows at these a; the truncation estimate must not
+    for a in (1e-100, 1e-300, 5e-324):
+        with pytest.raises(BudgetError, match="lemma check needs"):
+            lemma1_check(a)
+    assert lemma1_check(1e100).ok
 
 
 def test_lemma1_sweep_always_holds():
@@ -437,5 +445,8 @@ def test_deviation_errors():
         deviation_measure(SequenceSpec.monomial(2), params, 0.0, 10, seed=0)
     with pytest.raises(ValueError):
         deviation_measure(SequenceSpec.monomial(2), params, -0.5, 10, seed=0)
+    for delta in (math.nan, math.inf):  # NaN fails every comparison, delta <= 0 too
+        with pytest.raises(ValueError, match="delta"):
+            deviation_measure(SequenceSpec.monomial(2), params, delta, 10, seed=0)
     with pytest.raises(ValueError):
         deviation_measure(SequenceSpec.monomial(2), params, 0.25, 0, seed=0)
