@@ -11,10 +11,11 @@ Counting runs on differences: a_i + a_j = a_k + a_l exactly when
 a_i - a_k = a_l - a_j, so with W(w) = #{(i, j) : a_i - a_j = w} the
 energy is sum_w W(w)^2 = N^2 + 2 sum_{w>0} W(w)^2 (W(0) = N for
 distinct terms, and W(-w) = W(w)).  The N(N-1)/2 positive differences
-are walked in ascending value bands of at most _BAND_ENTRIES entries,
-each gathered by sorted searches over the sorted terms, then sorted
-and read off as run lengths.  Time is O(N^2 log N); memory is bounded
-by the band, not by N^2.
+are walked in ascending value bands [lo, hi) of at most _BAND_ENTRIES
+entries.  Each band is gathered by sorted searches over the sorted
+terms as keys d - lo, 4 bytes wide when hi - lo <= 2^32 (8 otherwise),
+then sorted in place and read off at its run breaks.  Time is
+O(N^2 log N); memory is bounded by the band, not by N^2.
 """
 
 from __future__ import annotations
@@ -27,8 +28,10 @@ import numpy as np
 from .errors import BudgetError
 from .sequences import IntegerSequence
 
-# Most positive differences one band gathers: its few int64 work arrays
-# take 4 MB each, whatever N is.
+# Most positive differences one band gathers, whatever N is.  An entry
+# holds a 4-byte key (8 in a band wider than 2^32), an 8-byte column
+# index while it is gathered, and a slot in the 8-byte column ramp kept
+# across bands; each run of equal keys adds an 8-byte cut.
 _BAND_ENTRIES = 1 << 19
 
 
@@ -81,71 +84,107 @@ class DifferenceProfile:
         return int(self.values.size)
 
 
-def _run_lengths(sorted_vals: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    if sorted_vals.size == 0:
-        return sorted_vals, np.zeros(0, dtype=np.int64)
-    change = np.flatnonzero(sorted_vals[1:] != sorted_vals[:-1]) + 1
-    starts = np.concatenate([[0], change])
-    ends = np.concatenate([change, [sorted_vals.size]])
-    return sorted_vals[starts], (ends - starts).astype(np.int64)
-
-
-def _sorted_offsets(terms: np.ndarray) -> np.ndarray:
-    """Sorted a - a_min as uint64.
+def _offsets(a: np.ndarray) -> np.ndarray:
+    """a - a[0] as uint64, for sorted terms a.
 
     Terms lie below 2^62 in magnitude, so offsets and the span stay
     below 2^63 and u_i + v < 2^64 for every 0 <= v <= span + 1.
     """
-    a = np.sort(terms)
     return (a - a[0]).astype(np.uint64)
 
 
-def _positive_difference_bands(terms: np.ndarray) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """Run lengths (values, counts) of the differences a_j - a_i > 0, by band.
+def _difference_key_bands(u: np.ndarray) -> Iterator[Tuple[int, np.ndarray, np.ndarray]]:
+    """(lo, keys, cuts) for the differences d = u_j - u_i > 0, band by band.
 
-    Bands [lo, hi) ascend and tile 1..span, so their concatenation is
-    the run-length table of the whole positive half.  Each edge hi is
-    found by bisection on the exact count of entries below it: a band
-    holds at most _BAND_ENTRIES entries, except that a single value
-    with more entries than that forms a band of its own.
+    u holds the sorted offsets of the terms (see _offsets).
+    Bands [lo, hi) ascend and tile 1..span.  keys holds d - lo for every
+    d in the band, sorted: uint32 when hi - lo <= 2^32, else uint64.
+    They come from the offsets truncated to the key width, as
+    low(u_j) - low(u_i) - low(lo) mod 2^k, which is exact since
+    0 <= d - lo < 2^k.  cuts holds the run starts followed by keys.size,
+    so the run counts are np.diff(cuts).
+
+    An edge hi is searched on the exact count of entries below it.  The
+    first probe is lo plus the previous band's width (for the first band,
+    the mean width that B entries take), later ones bisect, and the
+    search stops at the first probe whose band holds between B/2 and B =
+    _BAND_ENTRIES entries.  A band never holds more than B entries
+    unless one value alone has more; then that value is a band of its
+    own.
     """
-    u = _sorted_offsets(terms)
+    low32 = u.astype(np.uint32)
     span = int(u[-1])
+    most = _BAND_ENTRIES
+    least = (most + 1) // 2
 
     def ends(v: int) -> np.ndarray:
         # row i's entries below v end at column ends(v)[i]
         return np.searchsorted(u, u + np.uint64(v))
 
+    # one column ramp serves every band: a fresh arange per band would
+    # fault in its pages again each time
+    ramp = np.arange(0)
     top = ends(span + 1)
     below_top = int(top.sum())
     lo, start = 1, ends(1)
     below_lo = int(start.sum())
+    width = max(1, span * most // max(1, below_top - below_lo))
     while lo <= span:
-        if below_top - below_lo <= _BAND_ENTRIES:
+        if below_top - below_lo <= most:
             hi, stop = span + 1, top
         else:
             # invariant: [lo, good) fits in a band, [lo, bad) does not
             good, bad, good_stop = lo, span + 1, start
-            while bad - good > 1:
-                mid = (good + bad) // 2
-                mid_stop = ends(mid)
-                if int(mid_stop.sum()) - below_lo <= _BAND_ENTRIES:
-                    good, good_stop = mid, mid_stop
+            probe = min(lo + width, span)
+            while True:
+                probe_stop = ends(probe)
+                held = int(probe_stop.sum()) - below_lo
+                if held > most:
+                    bad = probe
                 else:
-                    bad = mid
+                    good, good_stop = probe, probe_stop
+                    if held >= least:
+                        break
+                if bad - good <= 1:
+                    break
+                probe = (good + bad) // 2
             # the value good alone overflows what is left of the band;
             # when nothing precedes it, it is the band
             if int(good_stop.sum()) > below_lo:
                 hi, stop = good, good_stop
             else:
                 hi, stop = bad, ends(bad)
+        width = hi - lo
         lengths = stop - start
+        rows = np.flatnonzero(lengths)
+        lengths = lengths[rows]
         total = int(lengths.sum())
-        cols = np.arange(total) + np.repeat(start - (np.cumsum(lengths) - lengths), lengths)
-        diffs = (u[cols] - np.repeat(u, lengths)).view(np.int64)
-        diffs.sort()
-        yield _run_lengths(diffs)
+        low = low32 if width <= 1 << 32 else u
+        cols = np.repeat(start[rows] - (np.cumsum(lengths) - lengths), lengths)
+        if ramp.size < total:
+            ramp = np.arange(total)
+        cols += ramp[:total]
+        keys = low.take(cols)
+        del cols  # before the row repeat, so the two never coexist
+        base = low[rows]
+        base += np.uint64(lo).astype(low.dtype)
+        keys -= np.repeat(base, lengths)
+        keys.sort()
+        breaks = np.flatnonzero(keys[1:] != keys[:-1])
+        breaks += 1
+        yield lo, keys, np.concatenate(([0], breaks, [total]))
         lo, start, below_lo = hi, stop, below_lo + total
+
+
+def _positive_difference_bands(terms: np.ndarray) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """Run lengths (values, counts) of the differences a_j - a_i > 0, by band.
+
+    The bands of _difference_key_bands, read off as int64 values lo +
+    key at each run start; their concatenation is the run-length table
+    of the whole positive half.
+    """
+    for lo, keys, cuts in _difference_key_bands(_offsets(np.sort(terms))):
+        yield keys[cuts[:-1]].astype(np.int64) + lo, np.diff(cuts)
 
 
 def additive_energy(seq: IntegerSequence) -> EnergyProfile:
@@ -154,9 +193,13 @@ def additive_energy(seq: IntegerSequence) -> EnergyProfile:
     Self-pairs i = j are included, matching the quadruple definition.
     Computed as N^2 + 2 sum_{w>0} W(w)^2 from the positive differences.
     """
+    a = np.sort(seq.terms)
     n = len(seq)
-    half = sum(int(np.sum(c * c)) for _, c in _positive_difference_bands(seq.terms))
-    return EnergyProfile(N=n, energy=n * n + 2 * half, terms=np.sort(seq.terms))
+    half = 0
+    for _, _, cuts in _difference_key_bands(_offsets(a)):
+        counts = np.diff(cuts)
+        half += int(np.dot(counts, counts))
+    return EnergyProfile(N=n, energy=n * n + 2 * half, terms=a)
 
 
 def difference_profile(seq: IntegerSequence) -> DifferenceProfile:
@@ -182,7 +225,7 @@ def difference_count(seq: IntegerSequence, w: int) -> int:
     Equals difference_profile(seq).count(w) without building the
     profile: 0 for w = 0 and for |w| beyond the span of the terms.
     """
-    u = _sorted_offsets(seq.terms)
+    u = _offsets(np.sort(seq.terms))
     w = abs(w)
     span = int(u[-1])
     if w == 0 or w > span:

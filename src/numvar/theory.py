@@ -140,7 +140,14 @@ def lemma2_check(
     f_r = a * abs(w_r) / d
     f_s = a * abs(w_s) / d
     # tail term at n: (pi^2 f_r f_s n^2)^-2; both signs, integral bound
-    m_terms = _lemma_terms((4.0 * a / (3.0 * math.pi**4 * f_r**2 * f_s**2 * tol)) ** (1.0 / 3.0))
+    # M^3 * tol = 4 a / (3 pi^4 f_r^2 f_s^2), taken through its cube root
+    # factor by factor: f_r^2 f_s^2 and 4a/(3 pi^4) underflow long before
+    # the root or the estimate does
+    root = (
+        (4.0 / (3.0 * math.pi**4)) ** (1.0 / 3.0) * a ** (1.0 / 3.0)
+        / f_r ** (2.0 / 3.0) / f_s ** (2.0 / 3.0)
+    )
+    m_terms = _lemma_terms(root / tol ** (1.0 / 3.0))
     body = _sum_chunked(
         m_terms, lambda nn: (np.sinc(f_r * nn) ** 2) * (np.sinc(f_s * nn) ** 2)
     )

@@ -123,6 +123,14 @@ def test_energy_invariances():
     assert additive_energy(seq_of([5 * v for v in base])).energy == e0  # dilation
 
 
+def test_energy_benchmark_sizes():
+    # the energies the energy-structure benchmark reports, pinned at full size
+    squares, cubes = SequenceSpec.monomial(2), SequenceSpec.monomial(3)
+    cases = ((squares, 2048, 21_219_820), (squares, 4096, 91_408_384), (cubes, 2048, 8_422_952))
+    for spec, n, want in cases:
+        assert additive_energy(generate_sequence(spec, n)).energy == want
+
+
 def test_energy_single_term():
     prof = additive_energy(seq_of([42]))
     assert prof.energy == 1 and prof.multiplicity(84) == 1
@@ -221,6 +229,9 @@ def band_inputs():
 @example(values=[-TOP, TOP], band=1)
 @example(values=[-TOP, -TOP + 1, TOP - 1, TOP], band=3)
 @example(values=[5], band=1)
+@example(values=[0, 1, 2**32 + 2], band=3)  # band 2^32 + 2 wide: 32-bit keys alias 1, 2^32 + 1
+@example(values=[0, 1, 2**32], band=3)  # one band exactly 2^32 wide: the widest 32-bit keys hold
+@example(values=[-TOP, -TOP + 5, TOP - 2**32, TOP - 3], band=2)  # 32-bit keys at lo near 2^63
 def test_band_kernel_matches_full_table(values, band):
     s = seq_of(values)
     n = len(values)

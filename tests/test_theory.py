@@ -165,6 +165,10 @@ def test_lemma2_errors():
         lemma2_check(5, 0, params)
     with pytest.raises(BudgetError):
         lemma2_check(1, 1, params, tol=0.0)
+    # f_r^2 f_s^2 underflows at these ell; the truncation estimate must not
+    for L in (1.0, 1e-23):  # ell = 1e-300, 1e-323
+        with pytest.raises(BudgetError, match="lemma check needs"):
+            lemma2_check(3, 5, WindowParams.from_L(10**300, L))
 
 
 def test_lemma2_term_ceiling_raises_before_summing(monkeypatch):
