@@ -329,9 +329,12 @@ def dot_words(c: np.ndarray, words: Sequence[np.ndarray]) -> List[int]:
     step = 1 << (room - bits)
     mask = _U64((1 << bits) - 1)
     sums = [0] * c.shape[0]
+    buf = np.empty(c.shape[-1], dtype=np.uint64)  # every limb in turn
+    limb = buf.view(np.int64)
     for t, word in enumerate(reversed(words)):
         for shift in range(0, 64, bits):
-            limb = ((word >> _U64(shift)) & mask).view(np.int64)
+            np.right_shift(word, _U64(shift), out=buf)
+            buf &= mask
             for start in range(0, limb.size, step):
                 part = (c[:, start:start + step] @ limb[start:start + step]).tolist()
                 sums = [s + (v << (shift + 64 * t)) for s, v in zip(sums, part)]

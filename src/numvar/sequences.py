@@ -156,9 +156,11 @@ class IntegerSequence:
                 "sequence term magnitude reaches the exact-dilation bound 2**%d"
                 % TERM_BITS
             )
-        s = np.sort(t)
-        if np.any(s[1:] == s[:-1]):
-            raise DuplicateError("sequence terms are not distinct")
+        # increasing terms, as in every monomial and lacunary family, need no sort
+        if not (t[1:] > t[:-1]).all():
+            s = np.sort(t)
+            if np.any(s[1:] == s[:-1]):
+                raise DuplicateError("sequence terms are not distinct")
 
     def __len__(self) -> int:
         return int(self.terms.size)

@@ -35,10 +35,12 @@ O(N log N) per knot of g whatever ell and the support radius are, and
 its result is exact until the one final rounding to float.
 
 The Monte Carlo route sorts its random centers once, by the same word
-sort as the points, and counts them in fixed blocks of 2**15, so the
-rank queries of each block come in ascending order and its temporaries
-stay small; the counts go back to draw order before they are reduced,
-so the estimate is the same float as counting the centers as drawn.
+sort as the points, and counts them from the points' side: for each
+point it ranks the two ends of the arc of centers whose windows hold it
+among the sorted centers, and sums one difference array over them, so
+it makes 2N rank queries whatever the number of centers.  The counts go
+back to draw order before they are reduced, so the estimate is the
+same float as counting the centers as drawn.
 
 The spectral route (pair_correlation_fourier, and through it
 number_variance_fourier) sums |T_n|^2 over 1 <= n <= M by baby steps
@@ -83,6 +85,7 @@ from .fixedpoint import (
     mul_words,
     phase_top_bits,
     rank_words,
+    split,
     to_words,
 )
 from .sequences import IntegerSequence, PointSet
@@ -96,11 +99,6 @@ FOURIER_TERM_CEILING = 10**9
 # kernel: a fixed constant, so reductions are order-deterministic, and small
 # enough that the blocks stay in cache.
 _PHASE_CHUNK_ENTRIES = 1 << 16
-
-# Monte Carlo centers per counting block: rank queries on sorted keys run
-# several times faster, and a block's word temporaries stay small.
-_CENTER_BLOCK = 1 << 15
-
 
 # ---------------------------------------------------------------------------
 # window parameters
@@ -408,11 +406,13 @@ def _pair_sum(points: PointSet, ell: float, f: TestFunction) -> Fraction:
     turns0 = [e // MODULUS for e in moved]
     # rank of p_i + e mod 2**128 and its wrap (q = turns0 + wrap); an end
     # on a whole turn ranks the points themselves.  Rows are N long, so
-    # temporaries go early.
+    # temporaries go early.  p is sorted, so the w rows that wrap, those
+    # with p_i >= 2**128 - e, are the last ones.
     v_hi, v_lo = add_words(hi, lo, [e % MODULUS for e in moved])
     r = rank_words(hi, lo, v_hi.ravel(), v_lo.ravel()).reshape(-1, n)
-    wraps = less_words(v_hi, v_lo, hi, lo).sum(axis=1).tolist()
     del v_hi, v_lo
+    wraps = [n - int(rank_words(hi, lo, *to_words([-e % MODULUS]))[0]) if e % MODULUS else 0
+             for e in moved]
 
     # per knot one signed row x = W - K, and sum_i K_i and the turns as ints
     slot = {e: i for i, e in enumerate(knots)}
@@ -422,8 +422,8 @@ def _pair_sum(points: PointSet, ell: float, f: TestFunction) -> Fraction:
     x[:lead] = np.arange(n - 1, -n - 1, -2)  # the lead knot: W = N - j, K = j + 1
     k_sums = [n * (n + 1) // 2] * lead
     turns = [0] * lead
-    # W = N + N*q + w - #{i : r_i <= j} and K = r_j + N*q, plus N on the w
-    # rows that wrap; p is sorted, so those are the last ones
+    # W = N + N*q + w - #{i : r_i <= j} and K = r_j + N*q, plus N on the
+    # last w rows, those that wrap
     for t, ranks, q, w in zip(range(lead, len(knots)), r, turns0, wraps):
         np.cumsum(np.bincount(ranks, minlength=n + 1)[:n], out=x[t])
         x[t] += ranks
@@ -484,24 +484,47 @@ def number_variance_montecarlo(
     Centers come from a counter-based stream, so the estimate is a pure
     function of (points, params, samples, seed).
 
-    The centers are sorted once by argsort_words and counted in fixed
-    blocks of _CENTER_BLOCK, so each block's rank queries arrive in
-    ascending order and its temporaries stay small.  The counts are
-    scattered back to draw order before the reduction, so the result is
-    the same float as counting the centers as drawn.
+    The centers are sorted once by argsort_words and counted from the
+    points' side: p lies in the window of c exactly when c lies in
+    [A, B) = [p + h - ell + 1, p + h + 1) mod 2**128, h = ell >> 1 (the
+    numerators), so with the ranks of A and B among the sorted centers
+    a center's count is a prefix sum of +1 at rank(A) and -1 at
+    rank(B), plus the number of intervals that wrap.  That is 2N rank
+    queries and one O(samples) pass.  The counts are written to draw
+    order before the reduction, so the result is the same float as
+    counting the centers as drawn.
     """
     _check_points(points, params)
     if samples < 2:
         raise ValueError("samples must be >= 2")
-    raw = Philox(key=seed % (1 << 128), counter=[0, 0, 0, _CENTER_STREAM]).random_raw(2 * samples)
-    order = argsort_words(raw[0::2], raw[1::2])
-    c_hi, c_lo = raw[0::2][order], raw[1::2][order]
-    del raw
-    counts = np.empty(samples, dtype=np.int64)
-    for start in range(0, samples, _CENTER_BLOCK):
-        block = slice(start, start + _CENTER_BLOCK)
-        counts[order[block]] = _window_counts(points, params, c_hi[block], c_lo[block])
-    y = (counts.astype(np.float64) - params.L) ** 2
+    ell_num = params.ell_numerator
+    y = np.empty(samples, dtype=np.float64)
+    if ell_num >= MODULUS:  # every window holds all N points
+        y.fill(len(points))
+    else:
+        raw = Philox(key=seed % (1 << 128), counter=[0, 0, 0, _CENTER_STREAM]).random_raw(
+            2 * samples)
+        order = argsort_words(raw[0::2], raw[1::2])
+        c_hi, c_lo = raw[0::2][order], raw[1::2][order]
+        del raw
+        # [A, B) = [B - ell, B) wraps exactly when B < ell.  Each word array
+        # goes once it is ranked, and the centers before the difference array.
+        b = (ell_num >> 1) + 1
+        b_hi, b_lo = add_words(points.hi, points.lo, b)
+        wrapped = int(less_words(b_hi, b_lo, *split(ell_num)).sum())
+        r_b = rank_words(c_hi, c_lo, b_hi, b_lo)
+        del b_hi, b_lo
+        a_hi, a_lo = add_words(points.hi, points.lo, b - ell_num)
+        r_a = rank_words(c_hi, c_lo, a_hi, a_lo)
+        del c_hi, c_lo, a_hi, a_lo
+        steps = np.bincount(r_a, minlength=samples + 1)
+        steps -= np.bincount(r_b, minlength=samples + 1)
+        del r_a, r_b
+        np.cumsum(steps, out=steps)
+        steps += wrapped
+        y[order] = steps[:samples]
+    y -= params.L
+    y *= y
     estimate = float(np.mean(y))
     stderr = float(np.std(y, ddof=1) / math.sqrt(samples))
     return VarianceResult(sigma2=estimate, method="monte_carlo", mc_stderr=stderr, params=params)

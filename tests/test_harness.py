@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 import numvar.harness as harness
-from numvar import stats
 from numvar import (
     BudgetError,
     ConfigError,
@@ -272,20 +271,12 @@ def test_worker_count_does_not_change_bytes_exact():
 
 
 def test_worker_count_does_not_change_bytes_montecarlo():
-    # more than two counting blocks of centers per cell
-    mc = 2 * stats._CENTER_BLOCK + 1000
-    one = rows_to_csv(
-        run_variance_experiment(
-            make_config(alpha_samples=6, mc_samples=mc)
-        )[0]
-    )
-    three = rows_to_csv(
-        run_variance_experiment(
-            make_config(alpha_samples=6, mc_samples=mc, workers=3)
-        )[0]
-    )
+    # cells with more centers than points (N = 30) and fewer (N = 6000)
+    cfg = dict(schedule=(30, 6000), alpha_samples=3, mc_samples=5000)
+    one = rows_to_csv(run_variance_experiment(make_config(**cfg))[0])
+    three = rows_to_csv(run_variance_experiment(make_config(workers=3, **cfg))[0])
     assert one == three
-    assert "monte_carlo" in one
+    assert one.count("monte_carlo") == 6
 
 
 def test_rerun_reproduces_rows():

@@ -423,33 +423,45 @@ def montecarlo_oracle(points, params, samples, seed):
 
 
 def test_montecarlo_blocks_match_draw_order_oracle(monkeypatch):
-    # sorted centers counted block by block give the same floats as the
-    # centers counted as drawn: at block edges, with small blocks, with
-    # windows that wrap (ell = 0.7), the full circle (ell = 1), tied
-    # points (alpha = 1/8 puts the squares on three points) and one point
+    # centers counted from the points' side give the same floats as the
+    # centers counted as drawn, at samples N - 1, N, N + 1, far above N and
+    # far below it.  The cases: windows that wrap (ell = 0.7), the full
+    # circle (ell = 1), tied points (alpha = 1/8 puts the squares on three
+    # points), one point, dyadic points, and points on and next to the
+    # window ends of drawn centers
     seq = generate_sequence(SequenceSpec.monomial(2), 300)
     generic = dilate_mod1(sample_alpha(17, 0), seq)
     tied = dilate_mod1(FixedPointReal.from_fraction(1, 8), seq)
     assert len(set(tied.numerator(i) for i in range(300))) < 300
+    edge_seed, edge = 5, WindowParams.from_L(20, 0.2)
+    raw = Philox(key=edge_seed, counter=[0, 0, 0, stats._CENTER_STREAM]).random_raw(20)
+    ell, left = edge.ell_numerator, -(edge.ell_numerator >> 1)
+    # each center gets points at its left end and one before it, or at its
+    # right end and one before it: a window moved by one numerator changes
+    # its count
+    on_ends = PointSet.from_numerators(
+        fp.join(c_hi, c_lo) + left + d
+        for i, (c_hi, c_lo) in enumerate(zip(raw[0::2], raw[1::2]))
+        for d in ((-1, 0), (ell - 1, ell))[i % 2])
+    for i in range(2):
+        center = FixedPointReal(fp.join(raw[2 * i], raw[2 * i + 1]))
+        assert count_in_interval(on_ends, center, edge) == 1
     cases = [(generic, WindowParams.from_beta(300, 0.3)),
              (generic, WindowParams.from_L(300, 210.0)),
              (tied, WindowParams.from_beta(300, 0.4)),
              (generic, WindowParams.from_L(300, 300.0)),
-             (PointSet.from_floats([0.99]), WindowParams.from_L(1, 0.25))]
+             (PointSet.from_floats([0.99]), WindowParams.from_L(1, 0.25)),
+             (PointSet.from_floats(np.arange(16) / 16), WindowParams.from_L(16, 4.0)),
+             (on_ends, edge)]
     assert cases[3][1].ell_numerator >= MODULUS
-
-    def check(samples, seed):
-        for points, params in cases:
-            got = number_variance_montecarlo(points, params, samples, seed)
-            assert (got.sigma2, got.mc_stderr) == montecarlo_oracle(points, params, samples, seed)
-
-    block = stats._CENTER_BLOCK
-    for samples in (block - 1, block, block + 1, 3 * block + 5):
-        check(samples, seed=samples)
-    for small in (1, 2, 7):
-        monkeypatch.setattr(stats, "_CENTER_BLOCK", small)
-        for samples in (2, 3, small + 1, 3 * small + 5, 200):
-            check(samples, seed=small * 1000 + samples)
+    for points, params in cases:
+        n = len(points)
+        for samples in {max(2, s) for s in (2, 3, n - 1, n, n + 1, 7 * n + 3, 4000)}:
+            want = montecarlo_oracle(points, params, samples, edge_seed)
+            with monkeypatch.context() as patch:
+                patch.setattr(stats, "_window_counts", None)  # the oracle only
+                got = number_variance_montecarlo(points, params, samples, edge_seed)
+            assert (got.sigma2, got.mc_stderr) == want
 
 
 def test_montecarlo_needs_two_samples():
@@ -699,7 +711,8 @@ def test_folded_windows_join_one_line():
 
 def test_tent_kernel_ranks_each_point_once(monkeypatch):
     # the tent folds to one window [0, scale], whose start is k = i + 1:
-    # one rank query per point and call, also for ties and for ell = 1
+    # one rank query per point and call, also for ties and for ell = 1,
+    # and one scalar query that counts the rows wrapping at its end
     calls = []
     real_rank = stats.rank_words
 
@@ -714,7 +727,7 @@ def test_tent_kernel_ranks_each_point_once(monkeypatch):
         for params in (WindowParams.from_beta(300, 0.3), WindowParams.from_L(300, 300.0)):
             calls.clear()
             number_variance_exact(points, params)
-            assert calls == [300]
+            assert calls == [300, 1]
 
 
 def test_pair_sum_dots_one_row_per_window(monkeypatch):
