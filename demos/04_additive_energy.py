@@ -48,7 +48,7 @@ for vals in ([1, 2, 3], [1, 2, 4], [1, 2, 4, 8, 13, 21, 31, 45]):
     de = difference_energy(prof)
     n = len(vals)
     tag = "Sidon" if e == 2 * n * n - n else "     "
-    print("A=%-28s E=%-5d diffE=%-4d distinct diffs=%-3d %s"
+    print("A=%-28s E=%-5d diffE=%-4d distinct w>0=%-3d %s"
           % (vals, e, de, prof.distinct, tag))
     assert de <= e
 
@@ -56,15 +56,14 @@ print()
 print("== gcd-sum diagnostic along the squares ==")
 print("the pairwise gcd-weighted sum over the difference profile,")
 print("normalized by sum W^2, must grow slower than any power of N")
-print("%-8s %-10s %-16s %-12s" % ("N", "distinct", "gcd sum", "per unit W^2"))
+print("%-8s %-10s %-16s %-12s" % ("N", "dist. w>0", "gcd sum", "per unit W^2"))
 prev_ratio, prev_growth = None, None
 for n in (16, 32, 64, 128):
     seq = generate_sequence(SequenceSpec.monomial(2), n)
     prof = difference_profile(seq)
-    res = gcd_sum_diagnostic(prof)
-    w2 = float(sum(c * c for _, c in prof.items()))
-    ratio = res.exact_sum / w2
-    line = "%-8d %-10d %-16.2f %-12.3f" % (n, prof.distinct, res.exact_sum, ratio)
+    gcd_sum = gcd_sum_diagnostic(prof)
+    ratio = gcd_sum / difference_energy(prof)
+    line = "%-8d %-10d %-16.2f %-12.3f" % (n, prof.distinct, gcd_sum, ratio)
     if prev_ratio is not None:
         growth = ratio / prev_ratio
         line += "  (x%.3f per octave)" % growth

@@ -43,7 +43,6 @@ from .stats import (
 from .energy import (
     DifferenceProfile,
     EnergyProfile,
-    GcdSumResult,
     additive_energy,
     difference_count,
     difference_energy,
@@ -109,7 +108,6 @@ __all__ = [
     "tent_fourier",
     "DifferenceProfile",
     "EnergyProfile",
-    "GcdSumResult",
     "additive_energy",
     "difference_count",
     "difference_energy",

@@ -16,12 +16,17 @@ entries.  Each band is gathered by sorted searches over the sorted
 terms as keys d - lo, 4 bytes wide when hi - lo <= 2^32 (8 otherwise),
 then sorted in place and read off at its run breaks.  Time is
 O(N^2 log N); memory is bounded by the band, not by N^2.
+
+Every statistic here is even in w, so the positive half is the one
+representation of the difference multiset: difference_profile keeps
+W(w) for w > 0 only, and difference_energy and gcd_sum_diagnostic fold
+the negative half back in by symmetry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple, Tuple
+from typing import Iterator, Tuple
 
 import numpy as np
 
@@ -63,13 +68,19 @@ class EnergyProfile:
 
 @dataclass(frozen=True)
 class DifferenceProfile:
-    """Multiplicities W(w) of nonzero ordered-pair differences a_i - a_j."""
+    """Multiplicities W(w) of the positive ordered-pair differences a_i - a_j.
+
+    values holds every w > 0 that occurs, ascending, and counts their
+    W(w).  W(-w) = W(w), so the positive half is the whole multiset.
+    """
 
     N: int
     values: np.ndarray
     counts: np.ndarray
 
     def count(self, w: int) -> int:
+        """W(w) = W(|w|); 0 for w = 0 and for differences that never occur."""
+        w = abs(w)
         i = int(np.searchsorted(self.values, w))
         if i < self.values.size and int(self.values[i]) == w:
             return int(self.counts[i])
@@ -176,17 +187,6 @@ def _difference_key_bands(u: np.ndarray) -> Iterator[Tuple[int, np.ndarray, np.n
         lo, start, below_lo = hi, stop, below_lo + total
 
 
-def _positive_difference_bands(terms: np.ndarray) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """Run lengths (values, counts) of the differences a_j - a_i > 0, by band.
-
-    The bands of _difference_key_bands, read off as int64 values lo +
-    key at each run start; their concatenation is the run-length table
-    of the whole positive half.
-    """
-    for lo, keys, cuts in _difference_key_bands(_offsets(np.sort(terms))):
-        yield keys[cuts[:-1]].astype(np.int64) + lo, np.diff(cuts)
-
-
 def additive_energy(seq: IntegerSequence) -> EnergyProfile:
     """#{(i,j,k,l) : a_i + a_j = a_k + a_l}, over ordered quadruples.
 
@@ -203,19 +203,18 @@ def additive_energy(seq: IntegerSequence) -> EnergyProfile:
 
 
 def difference_profile(seq: IntegerSequence) -> DifferenceProfile:
-    """W(w) = #{i != j : a_i - a_j = w} for every nonzero difference w.
+    """W(w) = #{i != j : a_i - a_j = w} for every difference w > 0.
 
-    The positive half is counted band by band and mirrored, since
-    W(-w) = W(w); the values come out ascending.
+    The positive half, counted band by band and read off as int64 values
+    lo + key at each run start; the values come out ascending.
     """
+    runs = [(keys[cuts[:-1]].astype(np.int64) + lo, np.diff(cuts))
+            for lo, keys, cuts in _difference_key_bands(_offsets(np.sort(seq.terms)))]
     empty = np.zeros(0, dtype=np.int64)
-    runs = list(_positive_difference_bands(seq.terms))
-    values = np.concatenate([empty] + [v for v, _ in runs])
-    counts = np.concatenate([empty] + [c for _, c in runs])
     return DifferenceProfile(
         N=len(seq),
-        values=np.concatenate([-values[::-1], values]),
-        counts=np.concatenate([counts[::-1], counts]),
+        values=np.concatenate([empty] + [v for v, _ in runs]),
+        counts=np.concatenate([empty] + [c for _, c in runs]),
     )
 
 
@@ -236,57 +235,41 @@ def difference_count(seq: IntegerSequence, w: int) -> int:
 
 
 def difference_energy(profile: DifferenceProfile) -> int:
-    """sum_w W(w)^2: ordered quadruples with equal nonzero differences.
+    """sum_{w != 0} W(w)^2 = 2 sum_{w>0} W(w)^2: ordered quadruples with
+    equal nonzero differences.
 
     Equals the additive energy minus N^2: a_i + a_j = a_k + a_l exactly
     when a_i - a_k = a_l - a_j, and the N^2 quadruples with i = k (so
     j = l) are the ones with difference zero.
     """
-    return int(np.sum(profile.counts * profile.counts))
+    return 2 * int(np.dot(profile.counts, profile.counts))
 
 
-class GcdSumResult(NamedTuple):
-    exact_sum: float
-    majorant: float
+def gcd_sum_diagnostic(profile: DifferenceProfile, *, max_distinct: int = 10000) -> float:
+    """sum over signed w, w' != 0 of W(w) W(w') gcd(w, w') / sqrt(|w w'|).
 
+    The quantity whose boundedness relative to sum W^2 signals low
+    additive structure.  The summand depends only on |w| and |w'|, and
+    W(-w) = W(w), so the sum is 4 times the one over the D positive
+    values of the profile; only those are paired.
 
-def gcd_sum_diagnostic(
-    profile: DifferenceProfile, *, max_distinct: int = 20000
-) -> GcdSumResult:
-    """Pairwise gcd-weighted sum over the difference profile, plus majorant.
-
-    exact_sum = sum over ordered pairs (w_r, w_s) of profile values of
-    W(w_r) * W(w_s) * gcd(|w_r|, |w_s|) / sqrt(|w_r * w_s|) - the
-    quantity whose boundedness relative to sum W^2 signals low additive
-    structure.  majorant = sum_r W(w_r)^2 * exp(10 * log r / log log
-    (r+1)) with values ranked by |w| ascending (ties: negative first),
-    the classical comparison scale for such sums.
-
-    O(D^2) in the number D of distinct differences; BudgetError beyond
-    max_distinct.
+    O(D^2); BudgetError when D > max_distinct (the default 10000 is
+    20000 signed values), ValueError for an empty profile.
     """
     d = profile.distinct
     if d == 0:
         raise ValueError("difference profile is empty")
     if d > max_distinct:
         raise BudgetError(
-            "profile has %d distinct differences > cap %d" % (d, max_distinct)
+            "profile has %d distinct positive differences > cap %d" % (d, max_distinct)
         )
     w = profile.values
-    aw = np.abs(w).astype(np.uint64)
-    weight = profile.counts.astype(np.float64) / np.sqrt(aw.astype(np.float64))
+    weight = profile.counts / np.sqrt(w.astype(np.float64))
 
     rows_per_chunk = max(1, (1 << 22) // d)
     chunk_sums = []
     for i0 in range(0, d, rows_per_chunk):
         i1 = min(i0 + rows_per_chunk, d)
-        g = np.gcd.outer(aw[i0:i1], aw).astype(np.float64)
+        g = np.gcd.outer(w[i0:i1], w).astype(np.float64)
         chunk_sums.append(np.dot(weight[i0:i1], g @ weight))
-    exact = float(np.sum(np.asarray(chunk_sums)))
-
-    order = np.lexsort((w, np.abs(w)))
-    ranks = np.arange(1, d + 1, dtype=np.float64)
-    factors = np.exp(10.0 * np.log(ranks) / np.log(np.log(ranks + 1.0)))
-    counts_sq = profile.counts.astype(np.float64) ** 2
-    majorant = float(np.dot(counts_sq[order], factors))
-    return GcdSumResult(exact_sum=exact, majorant=majorant)
+    return 4.0 * float(np.sum(np.asarray(chunk_sums)))

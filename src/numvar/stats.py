@@ -145,8 +145,10 @@ class WindowParams:
     def ell_numerator(self) -> int:
         """Exact dyadic numerator of ell: floor(ell * 2**128).
 
-        Exact (no flooring occurs) whenever ell is a float with exponent
-        >= -128, which holds for every admissible N <= 10**6 regime.
+        Exact (no flooring occurs) whenever ell >= 2**-76: a float's
+        53-bit significand then ends at or above 2**-128, so the product
+        is an integer.  Every L >= 1 meets this, as ell = L/N >= 1/N;
+        ell = 1e-26 from from_L(10**6, 1e-20) is floored.
         """
         scaled = Fraction(self.ell) * MODULUS
         return scaled.numerator // scaled.denominator
@@ -212,6 +214,8 @@ class TestFunction:
         values = np.asarray(values, dtype=np.float64)
         if xs.ndim != 1 or xs.shape != values.shape or xs.size < 2:
             raise SupportError("custom table must be two matching 1-d arrays")
+        if not (math.isfinite(radius) and np.isfinite(xs).all() and np.isfinite(values).all()):
+            raise SupportError("custom radius, abscissae and values must be finite")
         if np.any(np.diff(xs) <= 0):
             raise SupportError("custom table abscissae must be strictly increasing")
         return cls(kind="custom", radius=float(radius), xs=xs, values=values)

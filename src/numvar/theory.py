@@ -282,20 +282,19 @@ def x_second_moment(
                 "parseval route needs M=%d terms > ceiling %d" % (m_terms, max_terms)
             )
         profile = difference_profile(seq)
-        # symmetric profile: b_{-k} = b_k, so work on k >= 1 and double;
-        # the n <= -1 half of each coefficient folds onto n >= 1
-        pos = profile.values > 0
-        w_pos = [int(w) for w in profile.values[pos]]
-        c_pos = [float(c) for c in profile.counts[pos]]
+        if profile.distinct == 0:
+            return 0.0  # one term: R2 is 0 at every dilation
+        # the profile holds w > 0 and b_{-k} = b_k, so work on k >= 1 and
+        # double; the n <= -1 half of each coefficient folds onto n >= 1
         scale = 2.0 * params.L / (n * n)
         ell = params.ell
-        u_top = min(max_k, m_terms * max(w_pos))
+        u_top = min(max_k, m_terms * int(profile.values[-1]))
         block = 1 << 22
         total = 0.0
         for u0 in range(1, u_top + 1, block):
             u1 = min(u0 + block, u_top + 1)
             acc = np.zeros(u1 - u0, dtype=np.float64)
-            for w, c in zip(w_pos, c_pos):
+            for w, c in zip(profile.values.tolist(), profile.counts.tolist()):
                 n_lo = -(-u0 // w)
                 n_hi = min(m_terms, (u1 - 1) // w)
                 if n_lo > n_hi:

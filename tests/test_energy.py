@@ -142,23 +142,24 @@ def test_energy_single_term():
 
 def test_profile_hand_examples():
     prof = difference_profile(seq_of([1, 2, 3]))
-    assert dict(prof.items()) == {1: 2, -1: 2, 2: 1, -2: 1}
+    assert dict(prof.items()) == {1: 2, 2: 1}
+    assert prof.count(-1) == 2 and prof.count(0) == 0 and prof.count(3) == 0
     prof = difference_profile(seq_of([1, 2, 4]))
-    assert dict(prof.items()) == {w: 1 for w in (1, -1, 2, -2, 3, -3)}
+    assert dict(prof.items()) == {1: 1, 2: 1, 3: 1}
 
 
 def test_profile_ordering_and_totals():
     prof = difference_profile(seq_of([1, 2, 4]))
-    assert list(prof.values) == [-3, -2, -1, 1, 2, 3]  # ascending, no zero
+    assert list(prof.values) == [1, 2, 3]  # ascending, positive only
     rng = np.random.default_rng(17)
     for _ in range(10):
         n = int(rng.integers(2, 30))
         vals = sorted(int(v) for v in set(rng.integers(-10**4, 10**4, size=3 * n)))[:n]
         prof = difference_profile(seq_of(vals))
-        assert sum(c for _, c in prof.items()) == n * n - n
+        assert sum(c for _, c in prof.items()) == (n * n - n) // 2
         assert all(c > 0 for _, c in prof.items())
         assert all(prof.count(w) == prof.count(-w) for w in prof.values)
-        assert 0 not in set(prof.values)
+        assert all(w > 0 for w in prof.values)
         assert all(a < b for a, b in zip(prof.values, prof.values[1:]))
 
 
@@ -241,8 +242,8 @@ def test_band_kernel_matches_full_table(values, band):
         e = additive_energy(s).energy
     want_vals, want_counts = full_table_profile(values)
     assert prof.values.dtype == np.int64 and prof.counts.dtype == np.int64
-    assert [int(v) for v in prof.values] == want_vals
-    assert [int(c) for c in prof.counts] == want_counts
+    positive = [(v, c) for v, c in zip(want_vals, want_counts) if v > 0]
+    assert list(prof.items()) == positive
     if max(abs(v) for v in values) < 2**31:
         assert e == quadruple_count_oracle(values)
     else:
@@ -258,16 +259,17 @@ def test_band_kernel_matches_full_table(values, band):
 def test_bands_never_exceed_band_size(values):
     # a band holds at most _BAND_ENTRIES entries unless one value alone
     # has more; the bands tile the positive half in ascending order
+    u = energy._offsets(np.sort(np.array(values, dtype=np.int64)))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(energy, "_BAND_ENTRIES", 3)
-        runs = list(energy._positive_difference_bands(np.array(values, dtype=np.int64)))
+        bands = list(energy._difference_key_bands(u))
     n = len(values)
-    assert sum(int(c.sum()) for _, c in runs) == n * (n - 1) // 2
-    flat = [int(w) for vals, _ in runs for w in vals]
+    assert sum(keys.size for _, keys, _ in bands) == n * (n - 1) // 2
+    flat = [lo + int(k) for lo, keys, cuts in bands for k in keys[cuts[:-1]]]
     assert flat == sorted(set(flat)) and all(w > 0 for w in flat)
-    for vals, counts in runs:
-        assert vals.size >= 1
-        assert int(counts.sum()) <= 3 or vals.size == 1
+    for _, keys, cuts in bands:
+        assert cuts.size >= 2  # at least one run
+        assert keys.size <= 3 or cuts.size == 2
 
 
 # ---------------------------------------------------------------------------
@@ -276,10 +278,9 @@ def test_bands_never_exceed_band_size(values):
 
 def test_gcd_sum_two_term_hand_value():
     prof = difference_profile(seq_of([1, 2]))
-    res = gcd_sum_diagnostic(prof)
-    # profile {+1: 1, -1: 1}; all four ordered value pairs contribute
-    # gcd(1,1)/sqrt(1) = 1
-    assert res.exact_sum == 4.0
+    # signed profile {+1: 1, -1: 1}; all four ordered value pairs
+    # contribute gcd(1,1)/sqrt(1) = 1
+    assert gcd_sum_diagnostic(prof) == 4.0
 
 
 def test_gcd_sum_sidon_fourfold_symmetry():
@@ -290,53 +291,35 @@ def test_gcd_sum_sidon_fourfold_symmetry():
     hand = sum(
         math.gcd(r, s) / math.sqrt(r * s) for r in pos for s in pos
     )
-    assert math.isclose(gcd_sum_diagnostic(prof).exact_sum, 4.0 * hand, rel_tol=1e-12)
+    assert math.isclose(gcd_sum_diagnostic(prof), 4.0 * hand, rel_tol=1e-12)
 
 
 def test_gcd_sum_matches_double_loop_oracle():
+    # the oracle sums the definition over signed pairs, with the negative
+    # half expanded from W(-w) = W(w)
     rng = np.random.default_rng(99)
     for _ in range(6):
         n = int(rng.integers(2, 16))
         vals = sorted(int(v) for v in set(rng.integers(0, 500, size=3 * n)))[:n]
         prof = difference_profile(seq_of(vals))
-        want = sum(
-            cr * cs * math.gcd(abs(wr), abs(ws)) / math.sqrt(abs(wr * ws))
-            for wr, cr in prof.items()
-            for ws, cs in prof.items()
+        signed = [(s * w, c) for w, c in prof.items() for s in (1, -1)]
+        assert sum(c for _, c in signed) == n * n - n
+        want = math.fsum(
+            cr * cs * math.gcd(wr, ws) / math.sqrt(abs(wr * ws))
+            for wr, cr in signed
+            for ws, cs in signed
         )
-        got = gcd_sum_diagnostic(prof).exact_sum
-        assert math.isclose(got, want, rel_tol=1e-10)
-
-
-def test_gcd_sum_majorant_formula():
-    prof = difference_profile(seq_of([1, 2]))
-    res = gcd_sum_diagnostic(prof)
-    # ranks 1 and 2 with unit counts
-    want = 1.0 + math.exp(10.0 * math.log(2.0) / math.log(math.log(3.0)))
-    assert math.isclose(res.majorant, want, rel_tol=1e-12)
-    assert res.exact_sum <= res.majorant
-
-
-def test_gcd_sum_majorant_ranked_by_magnitude():
-    # profile of (1, 2, 3): counts 2 at |w| = 1 and 1 at |w| = 2, so the
-    # ranks must pair the squared counts as (4, 4, 1, 1), not in plain
-    # value order (1, 4, 4, 1).
-    prof = difference_profile(seq_of([1, 2, 3]))
-    f = lambda r: math.exp(10.0 * math.log(r) / math.log(math.log(r + 1.0)))
-    want = 4.0 * f(1) + 4.0 * f(2) + 1.0 * f(3) + 1.0 * f(4)
-    assert math.isclose(gcd_sum_diagnostic(prof).majorant, want, rel_tol=1e-12)
+        assert math.isclose(gcd_sum_diagnostic(prof), want, rel_tol=1e-12)
 
 
 def test_gcd_sum_growth_decelerates_for_squares():
-    # exact_sum / sum W^2 must grow slower than any fixed power of N:
-    # verified as strictly shrinking octave-to-octave growth factors.
+    # the gcd sum per unit sum W^2 must grow slower than any fixed power
+    # of N: verified as strictly shrinking octave-to-octave growth factors.
     ratios = []
     for n in (16, 32, 64, 128):
         seq = generate_sequence(SequenceSpec.monomial(2), n)
         prof = difference_profile(seq)
-        res = gcd_sum_diagnostic(prof)
-        w2 = float(sum(c * c for _, c in prof.items()))
-        ratios.append(res.exact_sum / w2)
+        ratios.append(gcd_sum_diagnostic(prof) / difference_energy(prof))
     growth = [b / a for a, b in zip(ratios, ratios[1:])]
     assert all(g > 1.0 for g in growth)
     assert all(a > b for a, b in zip(growth, growth[1:]))
@@ -345,8 +328,15 @@ def test_gcd_sum_growth_decelerates_for_squares():
 
 def test_gcd_sum_budget_and_empty():
     prof = difference_profile(seq_of(list(range(1, 30))))
+    assert prof.distinct == 28
     with pytest.raises(BudgetError):
-        gcd_sum_diagnostic(prof, max_distinct=4)
+        gcd_sum_diagnostic(prof, max_distinct=27)
+    assert gcd_sum_diagnostic(prof, max_distinct=28) > 0
+    # the default cap of 10000 positive values is 20000 signed ones
+    ones = np.ones(10001, dtype=np.int64)
+    wide = energy.DifferenceProfile(N=0, values=np.cumsum(ones), counts=ones)
+    with pytest.raises(BudgetError):
+        gcd_sum_diagnostic(wide)
     empty = difference_profile(seq_of([7]))
     assert empty.distinct == 0
     with pytest.raises(ValueError):

@@ -234,6 +234,16 @@ def test_custom_function_needs_valid_table():
         TestFunction.custom([0, 0], [1, 1], radius=1.0)  # not increasing
     with pytest.raises(SupportError):
         TestFunction.custom([0.0], [1.0], radius=1.0)  # too short
+    inf, nan = math.inf, math.nan
+    for xs, values, radius in (
+        ([-1, 0, 1], [0, 1, 0], inf),
+        ([-1, 0, inf], [0, 1, 0], 1.0),
+        ([-1, 0, 1], [0, nan, 0], 1.0),
+        ([-1, 0, 1], [0, inf, 0], 1.0),
+        ([nan, 0, 1], [0, 1, 0], 1.0),
+    ):
+        with pytest.raises(SupportError):
+            TestFunction.custom(xs, values, radius=radius)
 
 
 # ---------------------------------------------------------------------------

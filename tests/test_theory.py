@@ -410,6 +410,17 @@ def test_moment_budget_errors():
         x_second_moment(big, big_params, method="alpha_grid")
 
 
+def test_moment_single_term_is_zero():
+    # one term makes no pair: R2 and its mean L - L/N are 0 at every
+    # dilation, and the parseval route's difference profile is empty
+    seq = seq_of([5])
+    params = WindowParams.from_beta(1, 0.3)
+    assert x_second_moment(seq, params, method="parseval") == 0.0
+    assert x_second_moment(seq, params, method="alpha_grid") == 0.0
+    with pytest.raises(BudgetError):
+        x_second_moment(seq, params, method="parseval", tol=0.0)
+
+
 # ---------------------------------------------------------------------------
 # deviation measure
 # ---------------------------------------------------------------------------
