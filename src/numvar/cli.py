@@ -18,6 +18,7 @@ from typing import Dict, List, Optional
 from .errors import BudgetError, ConfigError, NumvarError
 from .harness import (
     CONFIG_KEYS,
+    MAX_KMAX,
     ExperimentConfig,
     config_from_mapping,
     config_value,
@@ -158,6 +159,8 @@ def _cmd_coeffs(args: argparse.Namespace, defaults: Dict[str, str]) -> int:
     cfg = _merge_config(args, defaults)
     if args.kmax < 1:
         raise ConfigError("--kmax must be >= 1")
+    if args.kmax > MAX_KMAX:
+        raise BudgetError("--kmax %d exceeds budget %d" % (args.kmax, MAX_KMAX))
     if len(cfg.schedule) != 1:
         raise ConfigError(
             "coeffs takes one N, the schedule gives %d: %s"

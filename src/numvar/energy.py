@@ -38,6 +38,8 @@ from .sequences import IntegerSequence
 # index while it is gathered, and a slot in the 8-byte column ramp kept
 # across bands; each run of equal keys adds an 8-byte cut.
 _BAND_ENTRIES = 1 << 19
+# Most distinct positive differences gcd_sum_diagnostic pairs (O(D^2) gcds)
+_GCD_MAX_DISTINCT = 10000
 
 
 @dataclass(frozen=True)
@@ -245,7 +247,7 @@ def difference_energy(profile: DifferenceProfile) -> int:
     return 2 * int(np.dot(profile.counts, profile.counts))
 
 
-def gcd_sum_diagnostic(profile: DifferenceProfile, *, max_distinct: int = 10000) -> float:
+def gcd_sum_diagnostic(profile: DifferenceProfile) -> float:
     """sum over signed w, w' != 0 of W(w) W(w') gcd(w, w') / sqrt(|w w'|).
 
     The quantity whose boundedness relative to sum W^2 signals low
@@ -253,15 +255,15 @@ def gcd_sum_diagnostic(profile: DifferenceProfile, *, max_distinct: int = 10000)
     W(-w) = W(w), so the sum is 4 times the one over the D positive
     values of the profile; only those are paired.
 
-    O(D^2); BudgetError when D > max_distinct (the default 10000 is
-    20000 signed values), ValueError for an empty profile.
+    O(D^2); BudgetError when D > _GCD_MAX_DISTINCT (10000 positive
+    values, 20000 signed ones), ValueError for an empty profile.
     """
     d = profile.distinct
     if d == 0:
         raise ValueError("difference profile is empty")
-    if d > max_distinct:
+    if d > _GCD_MAX_DISTINCT:
         raise BudgetError(
-            "profile has %d distinct positive differences > cap %d" % (d, max_distinct)
+            "profile has %d distinct positive differences > cap %d" % (d, _GCD_MAX_DISTINCT)
         )
     w = profile.values
     weight = profile.counts / np.sqrt(w.astype(np.float64))

@@ -51,6 +51,10 @@ MAX_SCHEDULE_LEN = 10**4
 # worker threads: a pool starts one per submitted cell up to this count
 MAX_WORKERS = 64
 MAX_ALPHA_SAMPLES = 10**4
+# coeffs indices k = 1..kmax: the divisor sums grow faster than kmax
+MAX_KMAX = 10**4
+# trials of the lemma sweeps in the verify suites
+MAX_TRIALS = 10**5
 # Monte Carlo centers per cell; a counting cell holds about 48 bytes per
 # center, so 480 MB at the cap
 MAX_MC_SAMPLES = 10**7
@@ -150,6 +154,12 @@ class ExperimentConfig:
             )
         if self.mc_samples is not None and self.mc_samples > MAX_MC_SAMPLES:
             raise BudgetError("mc=%d exceeds budget %d" % (self.mc_samples, MAX_MC_SAMPLES))
+        # after the budget checks, so an overlong schedule is a BudgetError
+        seen = set()
+        for n_value in self.schedule:
+            if n_value in seen:
+                raise ConfigError("schedule repeats N=%d" % n_value)
+            seen.add(n_value)
 
     @property
     def regime_flag(self) -> bool:
@@ -252,12 +262,13 @@ _ROW_CASTS = tuple(get_type_hints(ExperimentRow).values())  # str, int, float pe
 
 
 def table_to_csv(header: Sequence[str], rows) -> str:
-    """CSV text with CRLF line ends; floats as repr (shortest round trip), others as str."""
+    """CSV text with CRLF line ends; floats as repr (shortest round trip),
+    and the csv module writes None as an empty field and others by str()."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n")
     writer.writerow(header)
     for row in rows:
-        writer.writerow([repr(v) if isinstance(v, float) else str(v) for v in row])
+        writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
     return buf.getvalue()
 
 
@@ -333,7 +344,7 @@ def run_variance_experiment(
     is a pure function of (seed, N, index).
     """
     cfg.validate()
-    sequences = {n_value: _generate(cfg, n_value) for n_value in dict.fromkeys(cfg.schedule)}
+    sequences = {n_value: _generate(cfg, n_value) for n_value in cfg.schedule}
     params_by_n = {n_value: WindowParams.from_beta(n_value, cfg.beta) for n_value in sequences}
 
     tasks = [(n_value, idx) for n_value in cfg.schedule for idx in range(cfg.alpha_samples)]
@@ -413,8 +424,9 @@ def run_energy_sweep(cfg: ExperimentConfig) -> List[Dict]:
                 "N": n_value,
                 "energy": energy,
                 "energy_over_N2": energy / n_value**2,
+                # undefined at N = 1: null in JSON, an empty CSV field
                 "log_energy_over_log_N": (
-                    math.log(energy) / math.log(n_value) if n_value > 1 else float("nan")
+                    math.log(energy) / math.log(n_value) if n_value > 1 else None
                 ),
                 "difference_energy": energy - n_value**2,
             }
@@ -435,11 +447,6 @@ _SUITE_NAMES = ("lemma1", "lemma2", "identity", "mean", "parseval")
 
 def _rng(seed: int, tag: int) -> np.random.Generator:
     return np.random.Generator(Philox(key=seed % (1 << 128), counter=[0, 0, 0, tag]))
-
-
-def _random_alpha(rng: np.random.Generator) -> FixedPointReal:
-    w = rng.integers(0, 1 << 64, size=2, dtype=np.uint64)
-    return FixedPointReal(join(w[0], w[1]))
 
 
 def _random_sequence(
@@ -500,12 +507,12 @@ def _suite_identity(instances: int, seed: int) -> Dict:
     failures = 0
     errors = []
     f_tent = TestFunction.tent()
-    for _ in range(instances):
+    for i in range(instances):
         n_value = int(rng.integers(2, 501))
         beta = float(rng.uniform(0.0, 0.5))
         seq = _random_sequence(rng, n_value, 3, -(10**7), 10**7)
         params = WindowParams.from_beta(n_value, beta)
-        points = dilate_mod1(_random_alpha(rng), seq)
+        points = dilate_mod1(sample_alpha(seed, i), seq)
         sigma2 = number_variance_exact(points, params).sigma2
         r2 = pair_correlation_direct(points, params, f_tent).r2
         L = params.L
@@ -577,8 +584,8 @@ def run_verification_suite(
     """Run the named analytic-check suites; machine-readable report.
 
     selection: subset of {lemma1, lemma2, identity, mean, parseval} or
-    ("all",).  trials scales the lemma sweeps, instances the identity
-    suite (the mean suite uses min(instances, 20)).
+    ("all",).  trials (at most MAX_TRIALS) scales the lemma sweeps,
+    instances the identity suite (the mean suite uses min(instances, 20)).
     """
     wanted = set(_SUITE_NAMES) if "all" in selection else set(selection)
     unknown = wanted - set(_SUITE_NAMES)
@@ -587,6 +594,8 @@ def run_verification_suite(
     for name, count in (("trials", trials), ("instances", instances)):
         if count < 1:
             raise ConfigError("%s must be >= 1, got %d" % (name, count))
+    if trials > MAX_TRIALS:
+        raise BudgetError("trials=%d exceeds budget %d" % (trials, MAX_TRIALS))
     if tol <= 0 or not math.isfinite(tol):
         raise BudgetError(
             "tol must be positive: every truncated check would need "

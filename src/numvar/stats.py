@@ -74,7 +74,6 @@ from numpy.random import Philox
 from .errors import BudgetError, SupportError, WindowError
 from .fixedpoint import (
     MODULUS,
-    PHASE_N_BOUND,
     FixedPointReal,
     add_words,
     argsort_words,
@@ -92,7 +91,8 @@ from .sequences import IntegerSequence, PointSet
 
 _CENTER_STREAM = 0x63656E74  # Philox counter tag for window centers
 
-# Ceiling on spectral-sum terms; BudgetError above this (raise tol instead).
+# Ceiling on spectral-sum terms; BudgetError above it (raise tol instead).
+# Below 2**32 (PHASE_N_BOUND), so every phase multiplier n <= M is exact.
 FOURIER_TERM_CEILING = 10**9
 
 # Complex entries per phase table and per product block of the spectral
@@ -539,15 +539,13 @@ def number_variance_fourier(
     alpha: FixedPointReal,
     params: WindowParams,
     tol: float,
-    *,
-    max_terms: int = FOURIER_TERM_CEILING,
 ) -> VarianceResult:
     """Third variance route: spectral pair correlation + the identity.
 
     variance = L - L^2 + L * R2(tent), with R2 from the truncated
     spectral sum; the truncation contributes at most L * tol.
     """
-    r2 = pair_correlation_fourier(seq, alpha, params, tol, max_terms=max_terms)
+    r2 = pair_correlation_fourier(seq, alpha, params, tol)
     sigma2 = params.L - params.L**2 + params.L * r2.r2
     return VarianceResult(sigma2=sigma2, method="fourier", mc_stderr=None, params=params)
 
@@ -578,8 +576,6 @@ def pair_correlation_fourier(
     alpha: FixedPointReal,
     params: WindowParams,
     tol: float,
-    *,
-    max_terms: int = FOURIER_TERM_CEILING,
 ) -> PairCorrResult:
     """Spectral route: R2 = (L/N^2) * sum_n tent_fourier(ell*n) * (|T_n|^2 - N).
 
@@ -622,8 +618,9 @@ def pair_correlation_fourier(
     has no tail (|T_n|^2 = N).  M is the least M >= 1 at which the
     smallest of the bounds is <= tol, so it never exceeds the trivial
     bound's M, and that smallest bound is reported as truncation_bound.
-    M must stay below 2**32, the range where the phases are exact, and
-    below max_terms.
+    M above FOURIER_TERM_CEILING raises BudgetError before any phase is
+    taken; the ceiling lies below 2**32, the range where the phases are
+    exact.
 
     The kernel (_phase_sum) takes each phase as the product of two exact
     table phases and sums in fixed blocks with no BLAS, so the working set
@@ -642,11 +639,10 @@ def pair_correlation_fourier(
         n_pts, L, tol, min_gap_words(u_hi, u_lo),
         close_pairs_words(u_hi, u_lo, _close_spacing(n_pts)),
     )
-    ceiling = min(max_terms, PHASE_N_BOUND - 1)
-    if m_terms > ceiling:
+    if m_terms > FOURIER_TERM_CEILING:
         raise BudgetError(
             "spectral sum needs M=%d terms > ceiling %d; raise tol"
-            % (m_terms, ceiling)
+            % (m_terms, FOURIER_TERM_CEILING)
         )
     tail_sum = _phase_sum(u_hi, u_lo, params.ell, 1, m_terms + 1)
     r2 = L - L / n_pts + (2.0 * L / (n_pts * n_pts)) * tail_sum

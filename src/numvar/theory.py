@@ -30,6 +30,7 @@ from .energy import difference_count, difference_profile
 from .errors import BudgetError
 from .fixedpoint import FixedPointReal
 from .sequences import IntegerSequence, SequenceSpec, dilate_mod1, generate_sequence, sample_alpha
+from . import stats
 from .stats import (
     TestFunction,
     WindowParams,
@@ -46,8 +47,9 @@ _LEMMA_TERM_CEILING = 5 * 10**7
 # Ceiling on N for the alpha_grid quadrature, which runs one direct pair
 # correlation per grid point; the parseval route has no such cap.
 _ALPHA_GRID_MAX_N = 256
-# points of the first alpha_grid quadrature, before any doubling
+# alpha_grid points before any doubling, and the most it may double to
 _GRID_START = 256
+_GRID_CAP = 65536
 
 
 class Lemma1Result(NamedTuple):
@@ -224,10 +226,8 @@ def x_second_moment(
     params: WindowParams,
     method: str = "alpha_grid",
     *,
-    grid_cap: int = 65536,
     rel_tol: float = 1e-3,
     tol: float = 1e-6,
-    max_terms: int = 10**9,
     max_k: int = 1 << 26,
 ) -> float:
     """Variance of R2(tent) over the dilation factor.
@@ -235,19 +235,20 @@ def x_second_moment(
     method "alpha_grid": quadrature of (R2 - (L - L/N))^2 over a uniform
     dilation grid of 256 points, doubling the density until two
     refinements agree to rel_tol, then Richardson-extrapolated; more
-    than grid_cap points raise BudgetError.  Needs N <= 256.
+    than _GRID_CAP points raise BudgetError.  Needs N <= 256.
 
     method "parseval": sum of squared Fourier coefficients over indices
     k = n * w, 1 <= n <= M and w in the difference profile, with M from
-    the trivial tail rule M = 2N^2/(pi^2*L*tol), at most max_terms.  The
-    large-sieve rule of the spectral pair correlation does not apply:
-    this route averages over alpha, so there are no dilated points to
-    take a least gap or close pairs from.  Coefficients are accumulated
-    by a blocked divisor sieve over k, so memory stays bounded regardless of how many
-    (n, w) pairs contribute.  Slightly below the true moment: |n| > M terms are
+    the trivial tail rule M = 2N^2/(pi^2*L*tol), at most the spectral
+    route's stats.FOURIER_TERM_CEILING.  The large-sieve rule of the
+    spectral pair correlation does not apply: this route averages over
+    alpha, so there are no dilated points to take a least gap or close
+    pairs from.  Coefficients are accumulated by a blocked divisor sieve
+    over k, so memory stays bounded regardless of how many (n, w) pairs
+    contribute.  Slightly below the true moment: |n| > M terms are
     dropped everywhere, and |k| > max_k coefficients entirely; both
-    tails decay like the cube of the cutoff, and doubling the budgets is
-    the practical convergence test.
+    tails decay like the cube of the cutoff, and halving tol and
+    doubling max_k is the practical convergence test.
     """
     if method == "alpha_grid":
         if params.N > _ALPHA_GRID_MAX_N:
@@ -258,10 +259,10 @@ def x_second_moment(
         vals = pair_correlation_grid(seq, params, grid)
         prev = float(np.mean((vals - mean) ** 2))
         while True:
-            if 2 * grid > grid_cap:
+            if 2 * grid > _GRID_CAP:
                 raise BudgetError(
                     "alpha grid did not stabilize to %g within %d points"
-                    % (rel_tol, grid_cap)
+                    % (rel_tol, _GRID_CAP)
                 )
             odd = _grid_r2(seq, params, 2 * grid, range(1, 2 * grid, 2))
             vals = np.stack((vals, odd), axis=1).ravel()  # interleave: p = 0, 1, 2, ...
@@ -277,9 +278,9 @@ def x_second_moment(
             raise BudgetError("tol must be positive: the truncation point diverges")
         n = params.N
         m_terms = max(1, math.ceil(2.0 * n * n / (math.pi**2 * params.L * tol)))
-        if m_terms > max_terms:
+        if m_terms > stats.FOURIER_TERM_CEILING:
             raise BudgetError(
-                "parseval route needs M=%d terms > ceiling %d" % (m_terms, max_terms)
+                "parseval route needs M=%d terms > ceiling %d" % (m_terms, stats.FOURIER_TERM_CEILING)
             )
         profile = difference_profile(seq)
         if profile.distinct == 0:

@@ -6,6 +6,7 @@ cheaply; one subprocess smoke test confirms the installed entry point.
 
 import dataclasses
 import json
+import math
 import subprocess
 import sys
 
@@ -178,6 +179,24 @@ def test_energy_table(capsys):
     assert [row["energy"] for row in table] == [120, 496, 2016]  # 2N^2 - N
 
 
+def test_energy_at_one_term_writes_valid_json_and_csv(capsys):
+    # log E / log N is undefined at N = 1: null in JSON (NaN is not
+    # JSON), an empty field in CSV
+    code, out, _ = run_cli(
+        capsys, "energy", "--seq", "monomial:d=2", "--schedule", "n=1,4", "--format", "json",
+    )
+    assert code == 0
+
+    def reject(name):
+        raise AssertionError("non-JSON constant %s" % name)
+
+    table = json.loads(out, parse_constant=reject)
+    assert [row["log_energy_over_log_N"] for row in table] == [None, math.log(28) / math.log(4)]
+    code, out, _ = run_cli(capsys, "energy", "--seq", "monomial:d=2", "--schedule", "n=1,4")
+    assert code == 0
+    assert out.split("\r\n")[1:3] == ["1,1,1.0,,0", "4,28,1.75,%r,12" % (math.log(28) / math.log(4))]
+
+
 def test_energy_budget_exit_code(capsys, monkeypatch):
     def never(*args):
         raise AssertionError("sequence generated before the budget check")
@@ -196,6 +215,21 @@ def test_energy_generation_error_exit_code(capsys):
     )
     assert code == 2
     assert "config error" in err
+
+
+def test_repeated_schedule_entry_is_config_error(capsys, monkeypatch):
+    # a repeated N used to run, summarise and print every row twice
+    def never(*args):
+        raise AssertionError("sequence generated before the schedule check")
+
+    monkeypatch.setattr(harness, "generate_sequence", never)
+    for schedule, n_value in (("n=100,100", 100), ("m=-3,3", 9)):
+        code, out, err = run_cli(
+            capsys, "variance", "--seq", "monomial:d=2", "--schedule", schedule,
+            "--alphas", "2", "--format", "json",
+        )
+        assert (code, out) == (2, "")
+        assert "config error" in err and "repeats N=%d" % n_value in err
 
 
 def test_bad_mc_exit_codes(capsys, monkeypatch):
@@ -283,6 +317,18 @@ def test_verify_trials_below_one_fails_fast(capsys, monkeypatch):
         assert "config error" in err and "trials" in err
 
 
+def test_verify_trials_budget_fails_before_any_suite(capsys, monkeypatch):
+    def never(*args):
+        raise AssertionError("suite ran before the trials budget check")
+
+    monkeypatch.setattr(harness, "_suite_lemma1", never)
+    code, out, err = run_cli(
+        capsys, "verify", "--suites", "lemma1", "--trials", str(harness.MAX_TRIALS + 1),
+    )
+    assert (code, out) == (3, "")
+    assert "budget" in err and "trials" in err
+
+
 def test_verify_reads_config_values_like_every_command(tmp_path, capsys, monkeypatch):
     # tol and seed go through CONFIG_KEYS: empty is the ExperimentConfig
     # default, as for paircorr, and a bad value names its key
@@ -318,12 +364,22 @@ def test_coeffs_output(capsys):
     assert all(c["N"] == 12 for c in payload)
 
 
-def test_coeffs_kmax_validated(capsys):
-    code, _, err = run_cli(
-        capsys, "coeffs", "--seq", "monomial:d=2", "--schedule", "n=12",
-        "--kmax", "0",
-    )
-    assert code == 2 and "config error" in err
+def test_coeffs_kmax_validated(capsys, monkeypatch):
+    # both checked before any work: below 1 a config error, above the cap
+    # a budget error
+    def never(*args):
+        raise AssertionError("work started before the kmax check")
+
+    monkeypatch.setattr(cli, "generate_sequence", never)
+    monkeypatch.setattr(cli, "fourier_coefficient", never)
+    for kmax, code_want, word in (("0", 2, "config error"),
+                                  (str(harness.MAX_KMAX + 1), 3, "budget")):
+        code, out, err = run_cli(
+            capsys, "coeffs", "--seq", "monomial:d=2", "--schedule", "n=1024",
+            "--kmax", kmax,
+        )
+        assert (code, out) == (code_want, "")
+        assert word in err and "kmax" in err
 
 
 def test_coeffs_rejects_several_n(capsys, monkeypatch):

@@ -326,12 +326,18 @@ def test_gcd_sum_growth_decelerates_for_squares():
     assert ratios[-1] < 100.0
 
 
-def test_gcd_sum_budget_and_empty():
+def test_gcd_sum_budget_and_empty(monkeypatch):
     prof = difference_profile(seq_of(list(range(1, 30))))
     assert prof.distinct == 28
-    with pytest.raises(BudgetError):
-        gcd_sum_diagnostic(prof, max_distinct=27)
-    assert gcd_sum_diagnostic(prof, max_distinct=28) > 0
+    with pytest.raises(TypeError):
+        gcd_sum_diagnostic(prof, max_distinct=28)
+    # the cap is the module constant, read at call time
+    monkeypatch.setattr(energy, "_GCD_MAX_DISTINCT", 27)
+    with pytest.raises(BudgetError, match="28 distinct positive differences > cap 27"):
+        gcd_sum_diagnostic(prof)
+    monkeypatch.setattr(energy, "_GCD_MAX_DISTINCT", 28)
+    assert gcd_sum_diagnostic(prof) > 0
+    monkeypatch.undo()
     # the default cap of 10000 positive values is 20000 signed ones
     ones = np.ones(10001, dtype=np.int64)
     wide = energy.DifferenceProfile(N=0, values=np.cumsum(ones), counts=ones)

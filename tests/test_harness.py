@@ -106,6 +106,8 @@ def test_config_validation_errors():
         make_config(workers=0).validate()
     with pytest.raises(ConfigError):
         make_config(schedule=()).validate()
+    with pytest.raises(ConfigError, match="repeats N=4"):
+        make_config(schedule=(4, 9, 4)).validate()
 
 
 def test_config_budget_errors():

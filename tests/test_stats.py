@@ -1008,16 +1008,18 @@ def test_fourier_budget_errors():
     with pytest.raises(BudgetError):
         pair_correlation_fourier(seq, alpha, params, 1e-12)
     with pytest.raises(BudgetError):
-        pair_correlation_fourier(seq, alpha, params, 1e-3, max_terms=10)
-    with pytest.raises(BudgetError):
         pair_correlation_fourier(seq, alpha, params, 0.0)
     with pytest.raises(BudgetError):
         pair_correlation_fourier(seq, alpha, params, -1.0)
-    # M ~ 1e13 is under max_terms but beyond the exact phase range n < 2**32
-    with pytest.raises(BudgetError, match="ceiling 4294967295"):
-        pair_correlation_fourier(seq, alpha, params, 1e-12, max_terms=10**15)
-    with pytest.raises(BudgetError, match="ceiling 4294967295"):
-        number_variance_fourier(seq, alpha, params, 1e-12, max_terms=10**15)
+    # M just over the ceiling, which itself lies in the exact phase range
+    # n < 2**32; both routes raise before any phase is taken
+    assert stats.FOURIER_TERM_CEILING < fp.PHASE_N_BOUND
+    for route in (pair_correlation_fourier, number_variance_fourier):
+        with pytest.raises(BudgetError, match="needs M=1018032743 terms > ceiling 1000000000"):
+            route(seq, alpha, params, 1e-8)
+        # the ceiling is a module constant, not a per-call parameter
+        with pytest.raises(TypeError):
+            route(seq, alpha, params, 1e-3, max_terms=10**15)
     # M near 1e302 and beyond the float range: still a BudgetError
     with pytest.raises(BudgetError, match="ceiling"):
         pair_correlation_fourier(seq, alpha, params, 1e-300)

@@ -386,24 +386,27 @@ def test_moment_scaled_ratio_in_expected_range():
         assert 0.0 < ratio < 10.0
 
 
-def test_moment_budget_errors():
+def test_moment_budget_errors(monkeypatch):
     seq = seq_of([1, 2, 3, 5])
     params = WindowParams.from_beta(4, 0.3)
     with pytest.raises(ValueError):
         x_second_moment(seq, params, method="bogus")
     with pytest.raises(BudgetError):
         x_second_moment(seq, params, method="parseval", tol=0.0)
-    with pytest.raises(BudgetError):
-        x_second_moment(seq, params, method="parseval", max_terms=5)
+    # M ~ 2e12 is over the spectral route's stats.FOURIER_TERM_CEILING
+    with pytest.raises(BudgetError, match="ceiling 1000000000"):
+        x_second_moment(seq, params, method="parseval", tol=1e-12)
     with pytest.raises(TypeError):
         x_second_moment(seq, params, method="parseval", toll=1e-3)
-    with pytest.raises(TypeError):
-        x_second_moment(seq, params, method="alpha_grid", max_n=1000)
-    with pytest.raises(TypeError):
-        x_second_moment(seq, params, method="alpha_grid", grid_start=256)
-    with pytest.raises(BudgetError):
-        x_second_moment(seq, params, method="alpha_grid", rel_tol=1e-12,
-                        grid_cap=1024)
+    for removed in ("max_n", "grid_start", "grid_cap", "max_terms"):
+        with pytest.raises(TypeError):
+            x_second_moment(seq, params, method="alpha_grid", **{removed: 1024})
+        with pytest.raises(TypeError):
+            x_second_moment(seq, params, method="parseval", **{removed: 1024})
+    # the grid cap is the module constant, read at call time
+    monkeypatch.setattr(theory, "_GRID_CAP", 1024)
+    with pytest.raises(BudgetError, match="within 1024 points"):
+        x_second_moment(seq, params, method="alpha_grid", rel_tol=1e-12)
     big = generate_sequence(SequenceSpec.monomial(2), 300)
     big_params = WindowParams.from_beta(300, 0.3)
     with pytest.raises(BudgetError):
