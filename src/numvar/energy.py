@@ -12,10 +12,17 @@ a_i - a_k = a_l - a_j, so with W(w) = #{(i, j) : a_i - a_j = w} the
 energy is sum_w W(w)^2 = N^2 + 2 sum_{w>0} W(w)^2 (W(0) = N for
 distinct terms, and W(-w) = W(w)).  The N(N-1)/2 positive differences
 are walked in ascending value bands [lo, hi) of at most _BAND_ENTRIES
-entries.  Each band is gathered by sorted searches over the sorted
-terms as keys d - lo, 4 bytes wide when hi - lo <= 2^32 (8 otherwise),
-then sorted in place and read off at its run breaks.  Time is
-O(N^2 log N); memory is bounded by the band, not by N^2.
+entries, each gathered by sorted searches over the sorted terms as keys
+d - lo and counted in one of two ways.  A band at most _COUNT_WIDTH
+(2^17) values wide is counted by direct addressing, np.bincount over
+its hi - lo bins: O(entries + width), so where the differences are
+dense, as for the squares, the count costs O(N^2).  The walker takes
+such a narrow window as a band only when it holds at least _COUNT_WIDTH/4
+entries (a density of 1/4), so a sparse stretch is not cut into many
+nearly empty windows.  A wider band is sorted in place, with 4-byte keys
+when hi - lo <= 2^32 (8 otherwise), and read off at its run breaks:
+O(N^2 log N) over sparse differences.  Memory is bounded by the band,
+not by N^2.
 
 Every statistic here is even in w, so the positive half is the one
 representation of the difference multiset: difference_profile keeps
@@ -34,10 +41,14 @@ from .errors import BudgetError
 from .sequences import IntegerSequence
 
 # Most positive differences one band gathers, whatever N is.  An entry
-# holds a 4-byte key (8 in a band wider than 2^32), an 8-byte column
-# index while it is gathered, and a slot in the 8-byte column ramp kept
-# across bands; each run of equal keys adds an 8-byte cut.
+# holds a slot in the 8-byte key space and the 8-byte column ramp, both
+# kept across bands, and an 8-byte column index while it is gathered; in
+# a sorted band each run of equal keys adds an 8-byte cut.
 _BAND_ENTRIES = 1 << 19
+# Widest band counted by np.bincount, whose int64 bins then take 1 MB.
+# A window this wide is a band only when it holds at least a quarter as
+# many entries as it has values.
+_COUNT_WIDTH = 1 << 17
 # Most distinct positive differences gcd_sum_diagnostic pairs (O(D^2) gcds)
 _GCD_MAX_DISTINCT = 10000
 
@@ -107,49 +118,63 @@ def _offsets(a: np.ndarray) -> np.ndarray:
 
 
 def _difference_key_bands(u: np.ndarray) -> Iterator[Tuple[int, np.ndarray, np.ndarray]]:
-    """(lo, keys, cuts) for the differences d = u_j - u_i > 0, band by band.
+    """(lo, offsets, counts) for the differences d = u_j - u_i > 0, band by band.
 
-    u holds the sorted offsets of the terms (see _offsets).
-    Bands [lo, hi) ascend and tile 1..span.  keys holds d - lo for every
-    d in the band, sorted: uint32 when hi - lo <= 2^32, else uint64.
-    They come from the offsets truncated to the key width, as
-    low(u_j) - low(u_i) - low(lo) mod 2^k, which is exact since
-    0 <= d - lo < 2^k.  cuts holds the run starts followed by keys.size,
-    so the run counts are np.diff(cuts).
+    u holds the sorted offsets of the terms (see _offsets).  Bands
+    [lo, hi) ascend and tile 1..span.  offsets holds distinct values
+    d - lo in ascending order and counts (int64) how many differences
+    take each one, whichever way the band was counted (see _band_runs).
+    A count may be 0 in any band, and offsets may be a read-only view:
+    a band at most C = _COUNT_WIDTH wide lists every value 0..hi - lo - 1
+    without dropping its empty bins, which would cost more than the count.
 
-    An edge hi is searched on the exact count of entries below it.  The
-    first probe is lo plus the previous band's width (for the first band,
-    the mean width that B entries take), later ones bisect, and the
-    search stops at the first probe whose band holds between B/2 and B =
-    _BAND_ENTRIES entries.  A band never holds more than B entries
-    unless one value alone has more; then that value is a band of its
-    own.
+    With B = _BAND_ENTRIES, the walker first tries the narrow window
+    [lo, lo + C).  It is the band when it holds between C/4 and B
+    entries (a density of at least 1/4), or when it reaches the end of
+    the span and holds at most B.  When it holds more than B, the band
+    edge is searched inside it; when it holds fewer than C/4, beyond it,
+    so a sparse stretch makes one wide sorted band, not many narrow
+    ones.  An edge hi is searched on the exact count of entries below
+    it.  The first probe is lo plus the previous band's width (for the
+    first band, the mean width that B entries take), later ones bisect,
+    and the search stops at the first probe whose band holds between B/2
+    and B entries.  A band never holds more than B entries unless one
+    value alone has more; then that value is a band of its own.
     """
     low32 = u.astype(np.uint32)
     span = int(u[-1])
     most = _BAND_ENTRIES
     least = (most + 1) // 2
+    sparse = max(1, _COUNT_WIDTH // 4)  # a narrow window with fewer entries is passed over
 
     def ends(v: int) -> np.ndarray:
         # row i's entries below v end at column ends(v)[i]
         return np.searchsorted(u, u + np.uint64(v))
 
-    # one column ramp serves every band: a fresh arange per band would
-    # fault in its pages again each time
-    ramp = np.arange(0)
+    # the ramp 0, 1, ... and the key space serve every band: fresh ones
+    # per band would fault in their pages again each time
+    ramp = space = np.zeros(0, dtype=np.int64)
     top = ends(span + 1)
     below_top = int(top.sum())
     lo, start = 1, ends(1)
     below_lo = int(start.sum())
     width = max(1, span * most // max(1, below_top - below_lo))
     while lo <= span:
-        if below_top - below_lo <= most:
+        window = min(lo + _COUNT_WIDTH, span + 1)
+        window_stop = top if window > span else ends(window)
+        held = int(window_stop.sum()) - below_lo
+        if held <= most and (held >= sparse or window > span):
+            hi, stop = window, window_stop
+        elif below_top - below_lo <= most:
             hi, stop = span + 1, top
         else:
             # invariant: [lo, good) fits in a band, [lo, bad) does not
-            good, bad, good_stop = lo, span + 1, start
-            probe = min(lo + width, span)
-            while True:
+            if held > most:
+                good, good_stop, bad = lo, start, window
+            else:
+                good, good_stop, bad = window, window_stop, span + 1
+            probe = min(max(lo + width, good + 1), bad - 1)
+            while bad - good > 1:
                 probe_stop = ends(probe)
                 held = int(probe_stop.sum()) - below_lo
                 if held > most:
@@ -158,8 +183,6 @@ def _difference_key_bands(u: np.ndarray) -> Iterator[Tuple[int, np.ndarray, np.n
                     good, good_stop = probe, probe_stop
                     if held >= least:
                         break
-                if bad - good <= 1:
-                    break
                 probe = (good + bad) // 2
             # the value good alone overflows what is left of the band;
             # when nothing precedes it, it is the band
@@ -168,25 +191,55 @@ def _difference_key_bands(u: np.ndarray) -> Iterator[Tuple[int, np.ndarray, np.n
             else:
                 hi, stop = bad, ends(bad)
         width = hi - lo
-        lengths = stop - start
-        rows = np.flatnonzero(lengths)
-        lengths = lengths[rows]
-        total = int(lengths.sum())
-        low = low32 if width <= 1 << 32 else u
-        cols = np.repeat(start[rows] - (np.cumsum(lengths) - lengths), lengths)
-        if ramp.size < total:
-            ramp = np.arange(total)
-        cols += ramp[:total]
-        keys = low.take(cols)
-        del cols  # before the row repeat, so the two never coexist
-        base = low[rows]
-        base += np.uint64(lo).astype(low.dtype)
-        keys -= np.repeat(base, lengths)
-        keys.sort()
-        breaks = np.flatnonzero(keys[1:] != keys[:-1])
-        breaks += 1
-        yield lo, keys, np.concatenate(([0], breaks, [total]))
+        total = int(stop.sum()) - below_lo
+        need = max(total, width) if width <= _COUNT_WIDTH else total
+        if ramp.size < need:
+            ramp, space = np.arange(need), np.empty(need, dtype=np.int64)
+            ramp.flags.writeable = False  # bincount bands yield views of it
+        yield lo, *_band_runs(u, low32, lo, width, start, stop, ramp, space)
         lo, start, below_lo = hi, stop, below_lo + total
+
+
+def _band_runs(u: np.ndarray, low32: np.ndarray, lo: int, width: int, start: np.ndarray,
+               stop: np.ndarray, ramp: np.ndarray, space: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(offsets, counts) of the band [lo, lo + width) whose row i holds
+    columns start[i] to stop[i] - 1.
+
+    Each entry is gathered into space as the key d - lo, computed in
+    k-bit words as u_j - u_i - lo mod 2^k, which is exact since
+    0 <= d - lo < 2^k.  A band at most _COUNT_WIDTH wide has int64 keys
+    and is counted by np.bincount over its width: O(entries + width),
+    with ramp[:width] as its offsets.  A wider band has uint32 keys
+    (from low32, the offsets' low words) when it is at most 2^32 wide,
+    else uint64; they are sorted in place and read off at their run
+    breaks, O(entries log entries).  ramp holds 0, 1, ... for at least
+    the band's entries.
+    """
+    if width <= _COUNT_WIDTH:
+        low = u.view(np.int64)  # np.bincount takes int64 keys without a copy
+    else:
+        low = low32 if width <= 1 << 32 else u
+    lengths = stop - start
+    rows = np.flatnonzero(lengths)
+    lengths = lengths[rows]
+    total = int(lengths.sum())
+    cols = np.repeat(start[rows] - (np.cumsum(lengths) - lengths), lengths)
+    cols += ramp[:total]
+    keys = space.view(low.dtype)[:total]
+    low.take(cols, out=keys, mode="clip")  # "raise" would buffer the whole take
+    del cols  # before the row repeat, so the two never coexist
+    base = low[rows]
+    base += np.uint64(lo).astype(low.dtype)
+    keys -= np.repeat(base, lengths)
+    if width <= _COUNT_WIDTH:
+        return ramp[:width], np.bincount(keys, minlength=width)
+    keys.sort()
+    # a run starts at each key that differs from the one before it, and
+    # the last run ends at keys.size
+    edges = np.ones(total + 1, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=edges[1:-1])
+    cuts = np.flatnonzero(edges)
+    return keys[cuts[:-1]], np.diff(cuts)
 
 
 def additive_energy(seq: IntegerSequence) -> EnergyProfile:
@@ -198,8 +251,10 @@ def additive_energy(seq: IntegerSequence) -> EnergyProfile:
     a = np.sort(seq.terms)
     n = len(seq)
     half = 0
-    for _, _, cuts in _difference_key_bands(_offsets(a)):
-        counts = np.diff(cuts)
+    # each band's arrays stay bound until the next band replaces them:
+    # freed first, they let malloc hand their pages back to the system,
+    # and the next band faults them in again (a third slower on sparse sets)
+    for _, _, counts in _difference_key_bands(_offsets(a)):
         half += int(np.dot(counts, counts))
     return EnergyProfile(N=n, energy=n * n + 2 * half, terms=a)
 
@@ -208,10 +263,13 @@ def difference_profile(seq: IntegerSequence) -> DifferenceProfile:
     """W(w) = #{i != j : a_i - a_j = w} for every difference w > 0.
 
     The positive half, counted band by band and read off as int64 values
-    lo + key at each run start; the values come out ascending.
+    lo + offset, without the zero counts of bincount bands; the values
+    come out ascending.
     """
-    runs = [(keys[cuts[:-1]].astype(np.int64) + lo, np.diff(cuts))
-            for lo, keys, cuts in _difference_key_bands(_offsets(np.sort(seq.terms)))]
+    runs = []
+    for lo, offsets, counts in _difference_key_bands(_offsets(np.sort(seq.terms))):
+        occur = counts > 0
+        runs.append((offsets[occur].astype(np.int64) + lo, counts[occur]))
     empty = np.zeros(0, dtype=np.int64)
     return DifferenceProfile(
         N=len(seq),

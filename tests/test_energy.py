@@ -223,21 +223,49 @@ def band_inputs():
     return st.one_of(small, wide, ap, edges)
 
 
+def kernel_bands(values, band=None, count=None):
+    """The kernel's bands over values, and the width of each np.bincount call.
+
+    band and count, when given, replace _BAND_ENTRIES and _COUNT_WIDTH.
+    """
+    u = energy._offsets(np.sort(np.array(values, dtype=np.int64)))
+    counted = []
+    bincount = np.bincount
+
+    def spy(keys, minlength=0):
+        counted.append(minlength)
+        return bincount(keys, minlength=minlength)
+
+    with pytest.MonkeyPatch.context() as mp:
+        if band is not None:
+            mp.setattr(energy, "_BAND_ENTRIES", band)
+        if count is not None:
+            mp.setattr(energy, "_COUNT_WIDTH", count)
+        mp.setattr(np, "bincount", spy)
+        bands = list(energy._difference_key_bands(u))
+    return int(u[-1]), bands, counted
+
+
 @band_settings
-@given(values=band_inputs(), band=st.sampled_from([1, 2, 3, 7]))
-@example(values=[1, 2, 4, 8, 13, 21, 31, 45], band=1)  # Sidon
-@example(values=list(range(-30, 0)), band=2)  # one long run: W(1) = 29
-@example(values=[-TOP, TOP], band=1)
-@example(values=[-TOP, -TOP + 1, TOP - 1, TOP], band=3)
-@example(values=[5], band=1)
-@example(values=[0, 1, 2**32 + 2], band=3)  # band 2^32 + 2 wide: 32-bit keys alias 1, 2^32 + 1
-@example(values=[0, 1, 2**32], band=3)  # one band exactly 2^32 wide: the widest 32-bit keys hold
-@example(values=[-TOP, -TOP + 5, TOP - 2**32, TOP - 3], band=2)  # 32-bit keys at lo near 2^63
-def test_band_kernel_matches_full_table(values, band):
+@given(values=band_inputs(), band=st.sampled_from([1, 2, 3, 7]), count=st.sampled_from([1, 2, 3, 8, 64]))
+@example(values=[1, 2, 4, 8, 13, 21, 31, 45], band=1, count=8)  # Sidon
+@example(values=list(range(-30, 0)), band=2, count=1)  # one long run: W(1) = 29
+@example(values=list(range(-30, 0)), band=7, count=64)  # one dense window, searched inside
+@example(values=[-TOP, TOP], band=1, count=64)
+@example(values=[-TOP, -TOP + 1, TOP - 1, TOP], band=3, count=2)
+@example(values=[5], band=1, count=1)
+# with count 8 the window [1, 9) holds only d = 1 and is passed over, so
+# one sorted band runs from 1 to the span
+@example(values=[0, 1, 2**32 + 2], band=3, count=8)  # band 2^32 + 2 wide: 32-bit keys alias 1, 2^32 + 1
+@example(values=[0, 1, 2**32 + 1], band=3, count=8)  # band 2^32 + 1 wide: the narrowest 64-bit keys
+@example(values=[0, 1, 2**32], band=3, count=8)  # one band exactly 2^32 wide: the widest 32-bit keys hold
+@example(values=[-TOP, -TOP + 5, TOP - 2**32, TOP - 3], band=2, count=8)  # 32-bit keys at lo near 2^63
+def test_band_kernel_matches_full_table(values, band, count):
     s = seq_of(values)
     n = len(values)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(energy, "_BAND_ENTRIES", band)
+        mp.setattr(energy, "_COUNT_WIDTH", count)
         prof = difference_profile(s)
         e = additive_energy(s).energy
     want_vals, want_counts = full_table_profile(values)
@@ -255,21 +283,69 @@ def test_band_kernel_matches_full_table(values, band):
 
 
 @band_settings
-@given(values=band_inputs())
-def test_bands_never_exceed_band_size(values):
-    # a band holds at most _BAND_ENTRIES entries unless one value alone
-    # has more; the bands tile the positive half in ascending order
-    u = energy._offsets(np.sort(np.array(values, dtype=np.int64)))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(energy, "_BAND_ENTRIES", 3)
-        bands = list(energy._difference_key_bands(u))
+@given(values=band_inputs(), band=st.sampled_from([1, 2, 3, 7]), count=st.sampled_from([1, 2, 3, 8, 64]))
+@example(values=list(range(-30, 0)), band=7, count=64)
+@example(values=[0, 1, 2, 3, 1000], band=2, count=8)  # full windows searched inside, then a sparse stretch beyond
+def test_bands_never_exceed_band_size(values, band, count):
+    # the bands tile the positive half in ascending order; a band holds at
+    # most _BAND_ENTRIES entries unless one value alone has more; a band
+    # is counted by np.bincount exactly when it is at most _COUNT_WIDTH wide
+    span, bands, counted = kernel_bands(values, band, count)
     n = len(values)
-    assert sum(keys.size for _, keys, _ in bands) == n * (n - 1) // 2
-    flat = [lo + int(k) for lo, keys, cuts in bands for k in keys[cuts[:-1]]]
-    assert flat == sorted(set(flat)) and all(w > 0 for w in flat)
-    for _, keys, cuts in bands:
-        assert cuts.size >= 2  # at least one run
-        assert keys.size <= 3 or cuts.size == 2
+    los = [lo for lo, _, _ in bands]
+    widths = [b - a for a, b in zip(los, los[1:] + [span + 1])]
+    assert los[:1] == ([1] if n > 1 else [])
+    assert all(w > 0 for w in widths)
+    assert sum(int(c.sum()) for _, _, c in bands) == n * (n - 1) // 2
+    flat = [lo + int(o) for lo, offsets, cs in bands for o, c in zip(offsets, cs) if c > 0]
+    assert flat == sorted({abs(x - y) for x in values for y in values if x != y})
+    for (_, offsets, cs), w in zip(bands, widths):
+        assert cs.dtype == np.int64 and offsets.size == cs.size
+        assert list(offsets) == sorted(set(offsets)) and 0 <= offsets[0] and offsets[-1] < w
+        occupied = np.count_nonzero(cs)
+        assert occupied >= 1  # no band is empty
+        assert cs.sum() <= band or occupied == 1
+    assert counted == [w for w in widths if w <= count]
+
+
+def random_terms(n, gamma, seed):
+    """n distinct integers drawn uniformly from [1, n**gamma + n]."""
+    rng = np.random.default_rng(seed)
+    return [int(v) + 1 for v in rng.choice(int(n**gamma) + n, size=n, replace=False)]
+
+
+def test_sparse_differences_make_few_bands():
+    # a narrow window is a band only when it is at least a quarter full,
+    # so sparse differences are sorted in bands at least half full
+    cubes = generate_sequence(SequenceSpec.monomial(3), 2048).terms
+    for values in (random_terms(1024, 2.5, seed=3), cubes):
+        n = len(values)
+        _, bands, counted = kernel_bands(values)
+        assert len(bands) <= math.ceil(n * (n - 1) // 2 / (energy._BAND_ENTRIES // 2)) + 2
+    squares = generate_sequence(SequenceSpec.monomial(2), 2048).terms
+    _, bands, counted = kernel_bands(squares)
+    assert counted and max(counted) <= energy._COUNT_WIDTH  # the dense path is taken
+
+
+def test_counting_paths_agree_at_full_size():
+    # _COUNT_WIDTH = 0 sorts every band; bincount must give the same integers
+    progression = generate_sequence(SequenceSpec.monomial(1), 4096)
+    cases = (
+        generate_sequence(SequenceSpec.monomial(2), 2048),
+        seq_of(random_terms(1024, 2, seed=5)),
+        progression,
+    )
+    for s in cases:
+        assert kernel_bands(s.terms)[2] and not kernel_bands(s.terms, count=0)[2]
+        e, prof = additive_energy(s).energy, difference_profile(s)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(energy, "_COUNT_WIDTH", 0)
+            assert additive_energy(s).energy == e
+            sorted_prof = difference_profile(s)
+        np.testing.assert_array_equal(sorted_prof.values, prof.values)
+        np.testing.assert_array_equal(sorted_prof.counts, prof.counts)
+    n = len(progression)
+    assert additive_energy(progression).energy == (2 * n**3 + n) // 3
 
 
 # ---------------------------------------------------------------------------
