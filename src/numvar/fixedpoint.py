@@ -204,18 +204,13 @@ def _mul_block(u_hi, u_lo, terms: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return hi, lo
 
 
-def add_words(hi: np.ndarray, lo: np.ndarray, k) -> Tuple[np.ndarray, np.ndarray]:
-    """(hi, lo) + k mod 2**128 for every word pair; a negative k subtracts.
-
-    k is an int, or a list of m ints giving one row of sums per k.
-    """
-    rows = isinstance(k, list)
-    k_hi, k_lo = to_words(k if rows else [k])
-    if rows:
-        k_hi, k_lo = k_hi[:, None], k_lo[:, None]
+def add_words(hi: np.ndarray, lo: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(hi, lo) + k mod 2**128 for every word pair; a negative k subtracts."""
+    k_hi, k_lo = (_U64(w) for w in split(k))
     out_lo = lo + k_lo
-    carry = (out_lo < lo).astype(np.uint64)
-    return hi + k_hi + carry, out_lo
+    out_hi = hi + k_hi
+    np.add(out_hi, out_lo < lo, out=out_hi)  # the carry
+    return out_hi, out_lo
 
 
 def less_words(a_hi, a_lo, b_hi, b_lo) -> np.ndarray:
@@ -296,7 +291,7 @@ def rank_words(pts_hi, pts_lo, q_hi, q_lo) -> np.ndarray:
     high words, one pass per bit of the longest run.
     """
     rank = np.searchsorted(pts_hi, q_hi, side="left").astype(np.int64, copy=False)
-    tie = np.flatnonzero(pts_hi[np.minimum(rank, pts_hi.size - 1)] == q_hi)
+    tie = np.flatnonzero(pts_hi.take(rank, mode="clip") == q_hi)
     if tie.size:
         first = rank[tie]
         last = np.searchsorted(pts_hi, q_hi[tie], side="right").astype(np.int64, copy=False)
@@ -306,7 +301,7 @@ def rank_words(pts_hi, pts_lo, q_hi, q_lo) -> np.ndarray:
             if not live.any():
                 break
             mid = (first + last) >> 1
-            below = live & (pts_lo[np.minimum(mid, pts_lo.size - 1)] < key)
+            below = live & (pts_lo.take(mid, mode="clip") < key)
             first = np.where(below, mid + 1, first)
             last = np.where(live & ~below, mid, last)
         rank[tie] = first

@@ -4,8 +4,12 @@ The pipeline is: a SequenceSpec names a family (monomial, lacunary, or
 an explicit list), generate_sequence materializes the first N terms as
 int64, and dilate_mod1 maps each term a to the circle point
 frac(alpha * a) computed exactly on the 128-bit dyadic grid.  The
-resulting PointSet keeps the exact numerators (as two uint64 words per
-point, sorted) and the permutation back to sequence order.
+resulting PointSet keeps the exact numerators only, as two uint64 words
+per point in ascending order; which term a point came from is not kept.
+dilate_mod1 drops each unsorted word array as soon as its sorted copy
+exists, so no more than four N-long uint64 or int64 arrays are alive at
+once (about 33 bytes per point besides the terms), never both word
+arrays in both orders.
 
 Exactness of the bulk dilation is the load-bearing property: at N near
 1e5 and terms near 2**34, float64 reduction of a*alpha mod 1 would lose
@@ -151,7 +155,7 @@ class IntegerSequence:
         object.__setattr__(self, "terms", t)
         if t.ndim != 1 or t.size == 0:
             raise ValueError("terms must be a nonempty 1-d array")
-        if np.abs(t).max() >= TERM_BOUND:
+        if t.min() <= -TERM_BOUND or t.max() >= TERM_BOUND:
             raise OverflowError(
                 "sequence term magnitude reaches the exact-dilation bound 2**%d"
                 % TERM_BITS
@@ -236,18 +240,16 @@ def load_sequence_file(path: str | os.PathLike) -> SequenceSpec:
 class PointSet:
     """Sorted exact points on the unit circle, e.g. frac(alpha * a_j).
 
-    Stores the 128-bit numerators as parallel uint64 arrays (hi, lo)
-    and source_index such that point i came from input position
-    source_index[i] (the sequence position, for dilate_mod1).  The
-    points only: alpha and the sequence are not kept.
+    Stores the 128-bit numerators, ascending, as parallel uint64 arrays
+    (hi, lo).  The points only: alpha, the sequence and the order the
+    points came in are not kept.
     """
 
-    __slots__ = ("hi", "lo", "source_index")
+    __slots__ = ("hi", "lo")
 
-    def __init__(self, hi, lo, source_index):
+    def __init__(self, hi, lo):
         self.hi = hi
         self.lo = lo
-        self.source_index = source_index
 
     def __len__(self) -> int:
         return int(self.hi.size)
@@ -258,10 +260,9 @@ class PointSet:
 
     @classmethod
     def _from_words(cls, hi, lo) -> "PointSet":
-        """Point set from unsorted (hi, lo) word arrays; source_index is the sort."""
+        """Point set from unsorted (hi, lo) word arrays."""
         order = argsort_words(hi, lo)
-        idx_dtype = np.uint32 if hi.size < (1 << 32) else np.uint64
-        return cls(hi=hi[order], lo=lo[order], source_index=order.astype(idx_dtype))
+        return cls(hi=hi[order], lo=lo[order])
 
     @classmethod
     def from_numerators(cls, numerators) -> "PointSet":
@@ -279,17 +280,21 @@ class PointSet:
         )
 
     def shifted(self, offset: FixedPointReal) -> "PointSet":
-        """New point set with every point rotated by offset mod 1, exactly.
-
-        source_index refers to positions in this (sorted) point set.
-        """
+        """New point set with every point rotated by offset mod 1, exactly."""
         return PointSet._from_words(*add_words(self.hi, self.lo, offset.numerator))
 
 
 def dilate_mod1(alpha: FixedPointReal, seq: IntegerSequence) -> PointSet:
-    """Map each term a to frac(alpha * a), exactly, and sort."""
+    """Map each term a to frac(alpha * a), exactly, and sort.
+
+    Sorted inline, so each unsorted word array goes as soon as its sorted
+    copy exists.
+    """
     hi, lo = mul_words(alpha.numerator, seq.terms)
-    return PointSet._from_words(hi, lo)
+    order = argsort_words(hi, lo)
+    hi = hi[order]
+    lo = lo[order]
+    return PointSet(hi, lo)
 
 
 # ---------------------------------------------------------------------------

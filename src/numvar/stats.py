@@ -32,7 +32,15 @@ small signed row with the numerators.  A window that starts at D = 0 starts
 at the next point and needs no query: the tent folds to the one window
 0 <= D <= ell, so it costs one rank query per point.  The kernel costs
 O(N log N) per knot of g whatever ell and the support radius are, and
-its result is exact until the one final rounding to float.
+its result is exact until the one final rounding to float.  It works
+through the sorted points in blocks of _ROW_BLOCK rows.  A knot's
+queries p_i + e ascend on each side of the rows that wrap, so a block's
+queries are ranked within the slice of points between the ranks of its
+first and last query, a search about as long as the block; its knot
+rows come from a bincount of the ranks that fall among its columns,
+and its dot rows are dotted with its numerators alone.  One int64 rank
+row per moved knot is the only N-long array the kernel keeps, so at
+N = 10^6 a tent sum allocates about 9 MB above its points.
 
 The Monte Carlo route sorts its random centers once, by the same word
 sort as the points, and counts them from the points' side: for each
@@ -99,6 +107,10 @@ FOURIER_TERM_CEILING = 10**9
 # kernel: a fixed constant, so reductions are order-deterministic, and small
 # enough that the blocks stay in cache.
 _PHASE_CHUNK_ENTRIES = 1 << 16
+
+# Rows per block of the exact pair-sum kernel: each block's query words,
+# bracketed rank searches, knot rows and dot rows stay in cache.
+_ROW_BLOCK = 1 << 15
 
 # ---------------------------------------------------------------------------
 # window parameters
@@ -390,10 +402,15 @@ def _pair_sum(points: PointSet, ell: float, f: TestFunction) -> Fraction:
     times an integer, W_j = #{i : r_i > j} + sum_i q_i a prefix sum of rank
     counts (N - j for K = i + 1).  A window's moment is the difference of
     two prefix sums less sum_i c_i * p_i, c_i = K_i(B) - K_i(A), so each
-    knot keeps one signed row x = W - K and each window is one exact dot of
+    knot has one signed row x = W - K and each window is one exact dot of
     the small row x(B) - x(A) with the numerators (within about +-L for the
-    tent, one window on [0, S] and one rank query per point).  O(N log N)
-    per knot of g, independent of ell, for fewer than 2**31 points.
+    tent, one window on [0, S] and one rank per point).  O(N log N) per
+    knot of g, independent of ell, for fewer than 2**31 points.
+
+    Both passes run over the rows in blocks of _ROW_BLOCK (_shifted_ranks,
+    _knot_rows), and one int64 rank row per moved knot is the only N-long
+    array kept, so the rest of the working set stays in cache.  The dots
+    are exact, so their sums over the blocks are the same integers.
     """
     n = len(points)
     hi, lo = points.hi, points.lo
@@ -408,36 +425,28 @@ def _pair_sum(points: PointSet, ell: float, f: TestFunction) -> Fraction:
     lead = int(knots[0] == 0)  # K(0) = i + 1 needs no rank query
     moved = knots[lead:]
     turns0 = [e // MODULUS for e in moved]
-    # rank of p_i + e mod 2**128 and its wrap (q = turns0 + wrap); an end
-    # on a whole turn ranks the points themselves.  Rows are N long, so
-    # temporaries go early.  p is sorted, so the w rows that wrap, those
-    # with p_i >= 2**128 - e, are the last ones.
-    v_hi, v_lo = add_words(hi, lo, [e % MODULUS for e in moved])
-    r = rank_words(hi, lo, v_hi.ravel(), v_lo.ravel()).reshape(-1, n)
-    del v_hi, v_lo
+    # p is sorted, so the w rows that wrap, those with p_i >= 2**128 - e,
+    # are the last ones; an end on a whole turn ranks the points themselves
     wraps = [n - int(rank_words(hi, lo, *to_words([-e % MODULUS]))[0]) if e % MODULUS else 0
              for e in moved]
+    ranks = [_shifted_ranks(hi, lo, e % MODULUS, n - w) for e, w in zip(moved, wraps)]
 
-    # per knot one signed row x = W - K, and sum_i K_i and the turns as ints
+    # sum_i K_i and the turns as ints: K = r_i + N*q, plus N on the w rows that wrap
+    k_sums = [n * (n + 1) // 2] * lead
+    turns = [0] * lead
+    for r, q, w in zip(ranks, turns0, wraps):
+        r_sum, r_wrap = int(r.sum()), int(r[n - w:].sum())
+        k_sums.append(r_sum + n * (n * q + w))
+        turns.append(n * (n * q * (q - 1) // 2 + w * q) + q * r_sum + r_wrap)
+
     slot = {e: i for i, e in enumerate(knots)}
     lower = [slot[w[0]] for w in windows]
     upper = [slot[w[1]] for w in windows]
-    x = np.empty((len(knots), n), dtype=np.int64)
-    x[:lead] = np.arange(n - 1, -n - 1, -2)  # the lead knot: W = N - j, K = j + 1
-    k_sums = [n * (n + 1) // 2] * lead
-    turns = [0] * lead
-    # W = N + N*q + w - #{i : r_i <= j} and K = r_j + N*q, plus N on the
-    # last w rows, those that wrap
-    for t, ranks, q, w in zip(range(lead, len(knots)), r, turns0, wraps):
-        np.cumsum(np.bincount(ranks, minlength=n + 1)[:n], out=x[t])
-        x[t] += ranks
-        np.subtract(n + w, x[t], out=x[t])
-        x[t, n - w:] -= n
-        r_sum, r_wrap = int(ranks.sum()), int(ranks[n - w:].sum())
-        k_sums.append(r_sum + n * (n * q + w))
-        turns.append(n * (n * q * (q - 1) // 2 + w * q) + q * r_sum + r_wrap)
-    del r
-    dots = dot_words(x[upper] - x[lower], (hi, lo))
+    dots = [0] * len(windows)
+    for b0, x in _knot_rows(n, lead, ranks, wraps):
+        b1 = b0 + x.shape[1]
+        part = dot_words(x[upper] - x[lower], (hi[b0:b1], lo[b0:b1]))
+        dots = [d + v for d, v in zip(dots, part)]
 
     # sum over windows of u0 * count + u1 * moment / scale, over one denominator
     total = 0
@@ -447,6 +456,63 @@ def _pair_sum(points: PointSet, ell: float, f: TestFunction) -> Fraction:
         moment = dot + ((turns[i1] - turns[i0] - n * sum(shifts)) << 128)
         total += u0 * count * scale.numerator + u1 * moment * scale.denominator
     return Fraction(total, den * scale.numerator)
+
+
+def _shifted_ranks(hi, lo, e: int, split: int) -> np.ndarray:
+    """rank(p_i + e mod 2**128) for each sorted point p_i, as one int64 row.
+
+    The queries ascend on the rows below split and again on the rows from
+    split on (those that wrap), so in a block of one run they lie between
+    the block's first and last query: their ranks are the rank of the
+    first (one query of these two words among all points) plus their ranks
+    among the points in between, a search within a slice about as long as
+    the block.  An empty slice gives every row the same rank, with no
+    search.
+    """
+    n = hi.size
+    ranks = np.empty(n, dtype=np.int64)
+    for start, stop in ((0, split), (split, n)):
+        for b0 in range(start, stop, _ROW_BLOCK):
+            b1 = min(b0 + _ROW_BLOCK, stop)
+            q_hi, q_lo = add_words(hi[b0:b1], lo[b0:b1], e)
+            first, last = rank_words(hi, lo, q_hi[[0, -1]], q_lo[[0, -1]]).tolist()
+            if first == last:
+                ranks[b0:b1] = first
+            else:
+                np.add(rank_words(hi[first:last], lo[first:last], q_hi, q_lo), first,
+                       out=ranks[b0:b1])
+    return ranks
+
+
+def _knot_rows(n: int, lead: int, ranks, wraps):
+    """Yield (b0, x): the signed rows x = W - K of every knot, on columns b0 <= j < b1.
+
+    x has one row per knot, the lead knot (K = j + 1) first if there is
+    one, and one column per j.  For a moved knot with rank row r and w
+    wrapping rows, W - K = N + w - C(j) - r_j, less N on the last w rows,
+    with C(j) = #{i : r_i <= j}.  r ascends on each of its two runs, so
+    the ranks in [b0, b1) are a slice of each run, found by two scalar
+    searches, and C on the block is the running sum of their bincounts
+    plus the number of ranks below b0.  The row buffer is reused from
+    block to block.
+    """
+    buf = np.empty((lead + len(ranks), min(n, _ROW_BLOCK)), dtype=np.int64)
+    for b0 in range(0, n, _ROW_BLOCK):
+        b1 = min(b0 + _ROW_BLOCK, n)
+        x = buf[:, :b1 - b0]
+        x[:lead] = np.arange(n - 1 - 2 * b0, n - 1 - 2 * b1, -2)  # W = N - j, K = j + 1
+        for row, r, w in zip(x[lead:], ranks, wraps):
+            counts = np.zeros(b1 - b0, dtype=np.int64)
+            below = 0
+            for run in (r[:n - w], r[n - w:]):
+                s0, s1 = run.searchsorted((b0, b1)).tolist()
+                below += s0
+                counts += np.bincount(run[s0:s1] - b0, minlength=b1 - b0)
+            np.cumsum(counts, out=row)
+            row += r[b0:b1]
+            np.subtract(n + w - below, row, out=row)
+            row[max(n - w - b0, 0):] -= n
+        yield b0, x
 
 
 # ---------------------------------------------------------------------------

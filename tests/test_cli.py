@@ -442,6 +442,18 @@ def test_overflowing_sequence_is_config_error(capsys):
     assert code == 2 and "exact-dilation bound 2**62" in err and len(err) < 200
 
 
+def test_int64_minimum_term_is_config_error(capsys, tmp_path):
+    # -2**63 is outside |a| < 2**62; variance used to print a row for it,
+    # and energy failed inside numpy
+    seq_file = tmp_path / "terms.txt"
+    seq_file.write_text("%d\n5\n7\n" % -(2**63), encoding="utf-8")
+    for command in ("variance", "energy"):
+        code, out, err = run_cli(
+            capsys, command, "--seq", "custom:%s" % seq_file, "--schedule", "n=3",
+        )
+        assert code == 2 and "exact-dilation bound 2**62" in err and not out
+
+
 def test_lacunary_negative_offset_is_config_error(capsys):
     code, out, err = run_cli(
         capsys, "variance", "--seq", "lacunary:base=2,offset=-2", "--schedule", "n=4",

@@ -69,6 +69,16 @@ def test_term_magnitude_budget():
         IntegerSequence(terms=np.array([0, TERM_BOUND]), spec=SequenceSpec.monomial(1))
 
 
+def test_term_bound_rejects_int64_minimum():
+    # |-2**63| wraps to -2**63 in int64, so a bound taken on np.abs let it through
+    for low in (-(2**63), -TERM_BOUND):
+        with pytest.raises(OverflowError, match=r"exact-dilation bound 2\*\*62"):
+            IntegerSequence(terms=np.array([low, 5, 7]), spec=SequenceSpec.custom([low, 5, 7]))
+    seq = IntegerSequence(terms=np.array([1 - TERM_BOUND, TERM_BOUND - 1]),
+                          spec=SequenceSpec.custom([1 - TERM_BOUND, TERM_BOUND - 1]))
+    assert len(seq) == 2
+
+
 def test_term_bound_checked_before_building_terms():
     # lacunary stops at the first term >= 2**62 and names the bound, not
     # the term: formatting 2**20000 would itself fail on Python >= 3.11
@@ -172,8 +182,8 @@ def test_dilate_quarter_gives_quarters():
     seq = generate_sequence(SequenceSpec.custom([1, 2, 3, 4]), 4)
     pts = dilate_mod1(FixedPointReal.from_fraction(1, 4), seq)
     assert [pts.numerator(i) for i in range(4)] == [0, 1 << 126, 1 << 127, 3 << 126]
-    # 4 * (1/4) wraps to 0, so the first sorted point came from term 4.
-    assert list(pts.source_index) == [3, 0, 1, 2]
+    # 4 * (1/4) wraps to 0, so the first sorted point is the image of term 4.
+    assert pts.numerator(0) == FixedPointReal.from_fraction(1, 4).mul_int(4).numerator
 
 
 def test_dilate_zero_alpha_collapses_to_origin():
@@ -206,15 +216,17 @@ def test_dilate_matches_bigint_oracle():
         assert got == expected
 
 
-def test_dilate_source_index_recovers_terms():
+def test_dilate_numerators_recover_terms():
     rng = np.random.default_rng(5)
     alpha_num = int(rng.integers(1, 1 << 63)) << 64 | 12345
     terms = [3, -8, 21, 55, -144]
     seq = generate_sequence(SequenceSpec.custom(terms), 5)
     pts = dilate_mod1(FixedPointReal(alpha_num), seq)
-    for i in range(5):
-        a = terms[int(pts.source_index[i])]
-        assert pts.numerator(i) == (alpha_num * a) % MODULUS
+    # the images are distinct, so each sorted numerator names its term
+    image = {(alpha_num * a) % MODULUS: a for a in terms}
+    assert len(image) == 5
+    assert [pts.numerator(i) for i in range(5)] == sorted(image)
+    assert sorted(image[pts.numerator(i)] for i in range(5)) == sorted(terms)
 
 
 def test_dilate_permutation_invariance():
@@ -252,7 +264,7 @@ def test_point_set_sorted_and_in_range():
     assert nums == sorted(nums)
     assert 0 <= nums[0] and nums[-1] < MODULUS
     assert not np.any(less_words(pts.hi[1:], pts.lo[1:], pts.hi[:-1], pts.lo[:-1]))
-    assert pts.source_index.dtype == np.uint32
+    assert pts.hi.dtype == pts.lo.dtype == np.uint64 and pts.hi.size == pts.lo.size == 500
 
 
 def test_point_set_from_floats_and_shift():
@@ -273,7 +285,8 @@ def test_point_set_shift_matches_bigint(nums, offset):
     moved = pts.shifted(FixedPointReal(offset))
     want = [(pts.numerator(i) + offset) % MODULUS for i in range(len(pts))]
     assert [moved.numerator(i) for i in range(len(moved))] == sorted(want)
-    assert [want[j] for j in moved.source_index] == sorted(want)
+    back = moved.shifted(FixedPointReal(-offset))
+    assert [back.numerator(i) for i in range(len(back))] == [pts.numerator(i) for i in range(len(pts))]
 
 
 def test_point_set_needs_points():

@@ -580,15 +580,23 @@ def test_master_identity_on_random_instances():
 # exact pair sums, against a Fraction oracle
 # ---------------------------------------------------------------------------
 
+# row blocks the kernel is checked at: the default, and sizes that put
+# block edges everywhere (1: every bracket holds one query and is empty)
+BLOCKS = (stats._ROW_BLOCK, 1, 2, 3, 7)
+
+
 def assert_exact(points: PointSet, params: WindowParams, functions) -> None:
-    """Both kernel routes equal the float nearest the exact oracle value."""
+    """Both kernel routes equal the float nearest the exact oracle value,
+    at every row block size."""
     ell = Fraction(params.ell)
     tent_sum = exact_pair_sum(points, params.ell, TestFunction.tent())
-    sigma2 = number_variance_exact(points, params).sigma2
-    assert sigma2 == float(ell * (params.N + tent_sum) - Fraction(params.L) ** 2)
-    for f in functions:
-        want = exact_pair_sum(points, params.ell, f) / params.N
-        assert pair_correlation_direct(points, params, f).r2 == float(want)
+    sigma2 = float(ell * (params.N + tent_sum) - Fraction(params.L) ** 2)
+    r2 = [float(exact_pair_sum(points, params.ell, f) / params.N) for f in functions]
+    for block in BLOCKS:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(stats, "_ROW_BLOCK", block)
+            assert number_variance_exact(points, params).sigma2 == sigma2
+            assert [pair_correlation_direct(points, params, f).r2 for f in functions] == r2
 
 
 # discontinuous at both ends of its table: f(-1.5) = 0.5, f(1.5) = 1.25
@@ -702,7 +710,11 @@ def kernel_points(draw):
 def test_folded_kernel_matches_fraction_oracle(points, f, ell):
     params = WindowParams.from_L(len(points), len(points) * ell)
     for g in (f, TestFunction.tent(), TestFunction.indicator()):
-        assert stats._pair_sum(points, params.ell, g) == exact_pair_sum(points, params.ell, g)
+        want = exact_pair_sum(points, params.ell, g)
+        for block in BLOCKS:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(stats, "_ROW_BLOCK", block)
+                assert stats._pair_sum(points, params.ell, g) == want
 
 
 def test_folded_windows_join_one_line():
@@ -720,51 +732,134 @@ def test_folded_windows_join_one_line():
 
 
 def test_tent_kernel_ranks_each_point_once(monkeypatch):
-    # the tent folds to one window [0, scale], whose start is k = i + 1:
-    # one rank query per point and call, also for ties and for ell = 1,
-    # and one scalar query that counts the rows wrapping at its end
+    # the tent folds to one window [0, scale], whose start is k = i + 1, so
+    # it has one moved knot: one scalar query for the rows that wrap at its
+    # end, then per block of rows the block's queries (their sizes sum to
+    # N), a bracket of their first and last, searched in all points, and,
+    # unless the bracket is empty, the block's queries searched in it
     calls = []
-    real_rank = stats.rank_words
+    real_add, real_rank = stats.add_words, stats.rank_words
 
-    def counted(pts_hi, pts_lo, q_hi, q_lo):
-        calls.append(q_hi.size)
+    def added(hi, lo, k):
+        calls.append(("add", hi.size))
+        return real_add(hi, lo, k)
+
+    def ranked(pts_hi, pts_lo, q_hi, q_lo):
+        calls.append(("all" if pts_hi is points.hi else "slice", q_hi.size))
         return real_rank(pts_hi, pts_lo, q_hi, q_lo)
 
-    monkeypatch.setattr(stats, "rank_words", counted)
+    monkeypatch.setattr(stats, "add_words", added)
+    monkeypatch.setattr(stats, "rank_words", ranked)
     seq = generate_sequence(SequenceSpec.monomial(2), 300)
     for alpha in (FixedPointReal.from_fraction(1, 8), sample_alpha(7, 0)):
         points = dilate_mod1(alpha, seq)
         for params in (WindowParams.from_beta(300, 0.3), WindowParams.from_L(300, 300.0)):
-            calls.clear()
-            number_variance_exact(points, params)
-            assert calls == [300, 1]
+            for block in (stats._ROW_BLOCK, 64, 1):
+                monkeypatch.setattr(stats, "_ROW_BLOCK", block)
+                calls.clear()
+                number_variance_exact(points, params)
+                assert calls[0] == ("all", 1)
+                sizes, rest = [], calls[1:]
+                while rest:
+                    (kind, m), bracket, rest = rest[0], rest[1], rest[2:]
+                    assert kind == "add" and 1 <= m <= block and bracket == ("all", 2)
+                    if rest and rest[0][0] == "slice":
+                        assert rest[0] == ("slice", m)
+                        rest = rest[1:]
+                    sizes.append(m)
+                assert sum(sizes) == 300
+                assert len(sizes) <= -(-300 // block) + 1  # the wrap split adds one
+                if block == 1:  # first and last query coincide
+                    assert ("slice", 1) not in calls
 
 
 def test_pair_sum_dots_one_row_per_window(monkeypatch):
     # the prefix weights and window counts fold into one signed row per
-    # knot, so each window's moment is one dot row: one for the tent, also
-    # at ell = 1, and one per folded window otherwise
+    # knot, so each window's moment is one dot row per block of columns:
+    # one for the tent, also at ell = 1, and one per folded window otherwise
     rows = []
     real_dot = stats.dot_words
 
     def counted(c, words):
-        rows.append(c.shape[0])
+        assert c.shape[1] == words[0].size == words[1].size
+        rows.append(c.shape)
         return real_dot(c, words)
 
     monkeypatch.setattr(stats, "dot_words", counted)
     points = dilate_mod1(sample_alpha(7, 0), generate_sequence(SequenceSpec.monomial(2), 300))
-    for params in (WindowParams.from_beta(300, 0.3), WindowParams.from_L(300, 300.0)):
-        rows.clear()
-        number_variance_exact(points, params)
-        assert rows == [1]
     params = WindowParams.from_beta(300, 0.3)
     scale = Fraction(params.ell) * MODULUS
-    for f in (STEP_TABLE, TestFunction.indicator()):
-        windows = stats._folded_windows(f, scale)[1]
-        assert len(windows) > 1
-        rows.clear()
-        pair_correlation_direct(points, params, f)
-        assert rows == [len(windows)]
+    for block in (stats._ROW_BLOCK, 64, 7):
+        monkeypatch.setattr(stats, "_ROW_BLOCK", block)
+        widths = [min(block, 300 - b0) for b0 in range(0, 300, block)]
+        for wide in (params, WindowParams.from_L(300, 300.0)):
+            rows.clear()
+            number_variance_exact(points, wide)
+            assert rows == [(1, w) for w in widths]
+        for f in (STEP_TABLE, TestFunction.indicator()):
+            windows = stats._folded_windows(f, scale)[1]
+            assert len(windows) > 1
+            rows.clear()
+            pair_correlation_direct(points, params, f)
+            assert rows == [(len(windows), w) for w in widths]
+
+
+def test_row_blocks_meet_wrap_split_whole_turns_and_ties(monkeypatch):
+    # rows of the eighths alpha = 1/8 (ties) in blocks of 1, 2, 3 and 7:
+    # the wrap split falls inside a block, the custom table's integer knots
+    # sit on whole turns at ell = 1, and equal queries give empty brackets
+    seq = generate_sequence(SequenceSpec.monomial(1), 21)
+    points = dilate_mod1(FixedPointReal.from_fraction(1, 8), seq)
+    turns = TestFunction.custom([-2.0, -1.0, 0.0, 1.0, 2.0], [1.0, -2.0, 3.0, 0.5, 2.0], radius=2.0)
+    seen = {"split": set(), "whole turn": 0, "empty": 0}
+    real_ranks, real_rank = stats._shifted_ranks, stats.rank_words
+
+    def shifted(hi, lo, e, split):
+        seen["whole turn"] += e == 0
+        seen["split"].add(split)
+        return real_ranks(hi, lo, e, split)
+
+    def ranked(pts_hi, pts_lo, q_hi, q_lo):
+        rank = real_rank(pts_hi, pts_lo, q_hi, q_lo)
+        seen["empty"] += q_hi.size == 2 and rank[0] == rank[1]
+        return rank
+
+    monkeypatch.setattr(stats, "_shifted_ranks", shifted)
+    monkeypatch.setattr(stats, "rank_words", ranked)
+    for ell in (1.0, 0.3):
+        params = WindowParams.from_L(21, 21 * ell)
+        for f in (TestFunction.tent(), TestFunction.indicator(), turns):
+            want = exact_pair_sum(points, params.ell, f)
+            for block in (1, 2, 3, 7):
+                monkeypatch.setattr(stats, "_ROW_BLOCK", block)
+                assert stats._pair_sum(points, params.ell, f) == want
+    # the tent's end at ell = 0.3 wraps the rows at 6/8 and 7/8, two each,
+    # so its rows split at 17, inside a block of 2, 3 and 7
+    assert 17 in seen["split"] and seen["whole turn"] and seen["empty"]
+
+
+def test_exact_kernel_working_set():
+    # one variance cell at N = 2**18 allocates one int64 rank row per moved
+    # knot (the tent has one) and block-sized temporaries, nothing else N
+    # long.  The allowance of 2 MiB covers the 1.26 MiB measured above the
+    # rank row at the default block of 2**15 rows; the kernel that built
+    # N-long query words, knot rows and row copies peaked at 10.0 MiB.
+    import tracemalloc
+
+    n = 1 << 18
+    points = dilate_mod1(sample_alpha(3, 0), generate_sequence(SequenceSpec.monomial(2), n))
+    params = WindowParams.from_beta(n, 0.3)
+    windows = stats._folded_windows(TestFunction.tent(), Fraction(params.ell) * MODULUS)[1]
+    moved = {e for w in windows for e in w[:2]} - {0}
+    allowance = 2 << 20
+    tracemalloc.start()
+    try:
+        number_variance_exact(points, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(moved) == 1
+    assert peak <= 8 * n * len(moved) + allowance, peak
 
 
 # ---------------------------------------------------------------------------
