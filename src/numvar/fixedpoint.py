@@ -23,6 +23,8 @@ sorting, least circular gaps, exact dot products, and phases.  All of them
 are exact.  The multiply leans on numpy's uint64 arithmetic wrapping mod
 2**64, so the low word of a product is one multiply; the sort packs each
 input index into the low bits of its high word and sorts those keys once.
+sorted_mul_words, the dilation, sorts such keys straight from the multiply
+and rebuilds the words from the terms in sorted order.
 """
 
 from __future__ import annotations
@@ -171,8 +173,8 @@ def mul_words(numerator: int, terms: np.ndarray) -> Tuple[np.ndarray, np.ndarray
     With the numerator's words u_hi, u_lo and m = |a| < 2**63, the low word
     is u_lo * m mod 2**64, one uint64 multiply (numpy's wraps), and the
     high word is u_hi * m + high64(u_lo * m) mod 2**64.  high64 comes from
-    the four 32-bit partial products of u_lo and m, each < 2**64, whose
-    middle column (at most three values < 2**32) carries into the top.
+    the four 32-bit partial products of u_lo and m, each < 2**64, summed
+    column by column in two carries that cannot overflow.
     Negative terms are multiplied as |a|, and then only their products
     are negated mod 2**128.  The terms go through in fixed blocks written
     into the preallocated words, so the temporaries stay small.
@@ -189,18 +191,23 @@ def mul_words(numerator: int, terms: np.ndarray) -> Tuple[np.ndarray, np.ndarray
 def _mul_block(u_hi, u_lo, terms: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     neg = np.flatnonzero(terms < 0)
     mag = np.abs(terms).view(np.uint64)
-    # high64(u_lo * mag) from the 32-bit halves u_lo = x1:x0 and mag = y1:y0
+    # high64(u_lo * mag) from the 32-bit halves u_lo = x1:x0 and mag = y1:y0:
+    # t = x1*y0 + high32(x0*y0) < 2**64 - 2**32 and s = x0*y1 + low32(t)
+    # < 2**63 + 2**32 cannot overflow, and high64 = x1*y1 + high32(t) + high32(s)
     x0, x1 = u_lo & _MASK32, u_lo >> _U64(32)
     y0, y1 = mag & _MASK32, mag >> _U64(32)
-    p01 = x0 * y1
-    p10 = x1 * y0
-    mid = ((x0 * y0) >> _U64(32)) + (p01 & _MASK32) + (p10 & _MASK32)
-    high = x1 * y1 + (p01 >> _U64(32)) + (p10 >> _U64(32)) + (mid >> _U64(32))
+    t = x1 * y0
+    t += (x0 * y0) >> _U64(32)
+    s = x0 * y1
+    s += t & _MASK32
+    hi = x1 * y1
+    hi += t >> _U64(32)
+    hi += s >> _U64(32)
+    hi += u_hi * mag
     lo = u_lo * mag
-    hi = u_hi * mag + high
-    # two's-complement negation across the 128-bit pair, at the negative terms
-    hi[neg] = ~hi[neg] + (lo[neg] == 0)
-    lo[neg] = _U64(0) - lo[neg]
+    if neg.size:  # two's-complement negation across the 128-bit pair
+        hi[neg] = ~hi[neg] + (lo[neg] == 0)
+        lo[neg] = _U64(0) - lo[neg]
     return hi, lo
 
 
@@ -229,20 +236,100 @@ def argsort_words(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
     order inside them.  Runs are absent for generic alpha and routine for
     small rational alpha.
     """
-    bits = max(1, (hi.size - 1).bit_length())
-    mask = _U64((1 << bits) - 1)
-    keys = (hi & ~mask) | np.arange(hi.size, dtype=np.uint64)
+    bits = _index_bits(hi.size)
+    keys = _index_keys(hi, 0, bits, np.empty_like(hi))
     keys.sort()
-    tied = np.flatnonzero((keys[1:] ^ keys[:-1]) <= mask)
-    keys &= mask
+    pos = _tie_runs(keys, bits)
+    keys &= _U64((1 << bits) - 1)
     order = keys.view(np.int64)
-    if tied.size:
-        run = np.zeros(hi.size, dtype=bool)
-        run[tied] = run[tied + 1] = True
-        pos = np.flatnonzero(run)
+    if pos.size:
         sub = order[pos]
         order[pos] = sub[np.lexsort((sub, lo[sub], hi[sub]))]
     return order
+
+
+def _index_bits(n: int) -> int:
+    """Low key bits that hold an index below n: bit_length(n - 1), at least 1."""
+    return max(1, (n - 1).bit_length())
+
+
+def _index_keys(hi: np.ndarray, start: int, bits: int, out: np.ndarray) -> np.ndarray:
+    """Sort keys of the high words at indices start, start + 1, ..., into out.
+
+    Each key is its high word with the low `bits` bits replaced by its index.
+    """
+    np.bitwise_and(hi, _U64(_M64 ^ ((1 << bits) - 1)), out=out)
+    out |= np.arange(start, start + out.size, dtype=np.uint64)
+    return out
+
+
+def _tie_runs(keys: np.ndarray, bits: int) -> np.ndarray:
+    """Ascending positions of sorted keys that agree with a neighbour above the low bits.
+
+    The neighbour pairs are compared in blocks of _MUL_BLOCK, so no
+    temporary is as long as the keys.
+    """
+    mask = _U64((1 << bits) - 1)
+    tied = []
+    for start in range(0, keys.size - 1, _MUL_BLOCK):
+        block = keys[start:start + _MUL_BLOCK + 1]
+        found = ((block[1:] ^ block[:-1]) <= mask).nonzero()[0]
+        if found.size:
+            tied.append(found + start)
+    if not tied:
+        return np.empty(0, dtype=np.intp)
+    tied = np.concatenate(tied)
+    run = np.zeros(keys.size, dtype=bool)
+    run[tied] = run[tied + 1] = True
+    return np.flatnonzero(run)
+
+
+def sorted_mul_words(numerator: int, terms: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The words of mul_words(numerator, terms), sorted ascending as numerators.
+
+    The unsorted words are never built.  Pass 1 runs the multiply over
+    the terms in blocks of _MUL_BLOCK and keeps only two arrays: the sort
+    keys of argsort_words (each high word with its low b bits replaced by
+    the term's index) and the b bits each key dropped, as uint32 while
+    b <= 32.  The keys are sorted in place.  Pass 2 walks the sorted keys
+    in blocks and gathers each one's term and dropped bits by its index
+    bits; the low word is recomputed as u_lo * a mod 2**64 (for a < 0 the
+    wrapping multiply by a's two's complement gives -(u_lo * |a|)), and
+    the high word is rebuilt in place over the key.  Runs of keys equal
+    above the b bits (rational alpha) are then re-sorted by (high word,
+    low word).  Besides the terms, at most 8 + 4 + 8 bytes per point are
+    alive at once (keys, dropped bits, low words), plus block temporaries
+    and copies of the tied runs.
+    """
+    u_hi, u_lo = (_U64(w) for w in split(numerator))
+    bits = _index_bits(terms.size)
+    mask = _U64((1 << bits) - 1)
+    keys = np.empty(terms.shape, dtype=np.uint64)
+    dropped = np.empty(terms.shape, dtype=np.uint32 if bits <= 32 else np.uint64)
+    for start in range(0, terms.size, _MUL_BLOCK):
+        block = slice(start, start + _MUL_BLOCK)
+        hi = _mul_block(u_hi, u_lo, terms[block])[0]
+        np.bitwise_and(hi, mask, out=dropped[block], casting="unsafe")
+        _index_keys(hi, start, bits, keys[block])
+    keys.sort()
+    u_terms = terms.view(np.uint64)
+    lo = np.empty(terms.shape, dtype=np.uint64)
+    for start in range(0, terms.size, _MUL_BLOCK):
+        block = slice(start, start + _MUL_BLOCK)
+        key, low = keys[block], lo[block]
+        index = (key & mask).view(np.int64)
+        u_terms.take(index, out=low, mode="clip")  # every index is in range
+        low *= u_lo
+        key ^= index.view(np.uint64)  # clears the index bits
+        key |= dropped.take(index, mode="clip")
+    hi = keys
+    pos = _tie_runs(hi, bits)
+    if pos.size:
+        run_hi, run_lo = hi[pos], lo[pos]
+        sub = np.lexsort((run_lo, run_hi))
+        hi[pos] = run_hi[sub]
+        lo[pos] = run_lo[sub]
+    return hi, lo
 
 
 def min_gap_words(hi: np.ndarray, lo: np.ndarray) -> int:

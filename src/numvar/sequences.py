@@ -6,10 +6,9 @@ int64, and dilate_mod1 maps each term a to the circle point
 frac(alpha * a) computed exactly on the 128-bit dyadic grid.  The
 resulting PointSet keeps the exact numerators only, as two uint64 words
 per point in ascending order; which term a point came from is not kept.
-dilate_mod1 drops each unsorted word array as soon as its sorted copy
-exists, so no more than four N-long uint64 or int64 arrays are alive at
-once (about 33 bytes per point besides the terms), never both word
-arrays in both orders.
+dilate_mod1 never builds the unsorted words: it sorts index-packed keys
+and rebuilds the words from the terms in sorted order, so it holds about
+20 bytes per point besides the terms.
 
 Exactness of the bulk dilation is the load-bearing property: at N near
 1e5 and terms near 2**34, float64 reduction of a*alpha mod 1 would lose
@@ -33,7 +32,7 @@ from .fixedpoint import (
     add_words,
     argsort_words,
     join,
-    mul_words,
+    sorted_mul_words,
     to_words,
 )
 
@@ -287,14 +286,16 @@ class PointSet:
 def dilate_mod1(alpha: FixedPointReal, seq: IntegerSequence) -> PointSet:
     """Map each term a to frac(alpha * a), exactly, and sort.
 
-    Sorted inline, so each unsorted word array goes as soon as its sorted
-    copy exists.
+    Two passes over the terms (fixedpoint.sorted_mul_words), and the
+    unsorted words are never built.  Pass 1 multiplies in blocks and keeps
+    only each point's sort key (its high word with the low
+    b = bit_length(N - 1) bits replaced by its index) and the b bits that
+    key dropped; the keys are sorted in place.  Pass 2 gathers each sorted
+    key's term and dropped bits, recomputes the low word and rebuilds the
+    high word over the key.  So the dilation holds about 20 bytes per
+    point besides the terms, and the point set keeps 16.
     """
-    hi, lo = mul_words(alpha.numerator, seq.terms)
-    order = argsort_words(hi, lo)
-    hi = hi[order]
-    lo = lo[order]
-    return PointSet(hi, lo)
+    return PointSet(*sorted_mul_words(alpha.numerator, seq.terms))
 
 
 # ---------------------------------------------------------------------------

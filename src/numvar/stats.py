@@ -38,9 +38,9 @@ queries p_i + e ascend on each side of the rows that wrap, so a block's
 queries are ranked within the slice of points between the ranks of its
 first and last query, a search about as long as the block; its knot
 rows come from a bincount of the ranks that fall among its columns,
-and its dot rows are dotted with its numerators alone.  One int64 rank
+and its dot rows are dotted with its numerators alone.  One int32 rank
 row per moved knot is the only N-long array the kernel keeps, so at
-N = 10^6 a tent sum allocates about 9 MB above its points.
+N = 10^6 a tent sum allocates about 5 MB above its points.
 
 The Monte Carlo route sorts its random centers once, by the same word
 sort as the points, and counts them from the points' side: for each
@@ -408,7 +408,7 @@ def _pair_sum(points: PointSet, ell: float, f: TestFunction) -> Fraction:
     knot of g, independent of ell, for fewer than 2**31 points.
 
     Both passes run over the rows in blocks of _ROW_BLOCK (_shifted_ranks,
-    _knot_rows), and one int64 rank row per moved knot is the only N-long
+    _knot_rows), and one int32 rank row per moved knot is the only N-long
     array kept, so the rest of the working set stays in cache.  The dots
     are exact, so their sums over the blocks are the same integers.
     """
@@ -435,7 +435,7 @@ def _pair_sum(points: PointSet, ell: float, f: TestFunction) -> Fraction:
     k_sums = [n * (n + 1) // 2] * lead
     turns = [0] * lead
     for r, q, w in zip(ranks, turns0, wraps):
-        r_sum, r_wrap = int(r.sum()), int(r[n - w:].sum())
+        r_sum, r_wrap = int(r.sum(dtype=np.int64)), int(r[n - w:].sum(dtype=np.int64))
         k_sums.append(r_sum + n * (n * q + w))
         turns.append(n * (n * q * (q - 1) // 2 + w * q) + q * r_sum + r_wrap)
 
@@ -459,7 +459,7 @@ def _pair_sum(points: PointSet, ell: float, f: TestFunction) -> Fraction:
 
 
 def _shifted_ranks(hi, lo, e: int, split: int) -> np.ndarray:
-    """rank(p_i + e mod 2**128) for each sorted point p_i, as one int64 row.
+    """rank(p_i + e mod 2**128) for each sorted point p_i, as one int32 row.
 
     The queries ascend on the rows below split and again on the rows from
     split on (those that wrap), so in a block of one run they lie between
@@ -467,10 +467,10 @@ def _shifted_ranks(hi, lo, e: int, split: int) -> np.ndarray:
     first (one query of these two words among all points) plus their ranks
     among the points in between, a search within a slice about as long as
     the block.  An empty slice gives every row the same rank, with no
-    search.
+    search.  Ranks are at most N < 2**31, which _pair_sum checks.
     """
     n = hi.size
-    ranks = np.empty(n, dtype=np.int64)
+    ranks = np.empty(n, dtype=np.int32)
     for start, stop in ((0, split), (split, n)):
         for b0 in range(start, stop, _ROW_BLOCK):
             b1 = min(b0 + _ROW_BLOCK, stop)
@@ -493,19 +493,21 @@ def _knot_rows(n: int, lead: int, ranks, wraps):
     with C(j) = #{i : r_i <= j}.  r ascends on each of its two runs, so
     the ranks in [b0, b1) are a slice of each run, found by two scalar
     searches, and C on the block is the running sum of their bincounts
-    plus the number of ranks below b0.  The row buffer is reused from
-    block to block.
+    plus the number of ranks below b0.  The searches take int32 keys, as
+    keys of a wider type would copy the whole row up to them.  The row
+    buffer is reused from block to block.
     """
     buf = np.empty((lead + len(ranks), min(n, _ROW_BLOCK)), dtype=np.int64)
     for b0 in range(0, n, _ROW_BLOCK):
         b1 = min(b0 + _ROW_BLOCK, n)
         x = buf[:, :b1 - b0]
         x[:lead] = np.arange(n - 1 - 2 * b0, n - 1 - 2 * b1, -2)  # W = N - j, K = j + 1
+        bounds = np.array((b0, b1), dtype=np.int32)
         for row, r, w in zip(x[lead:], ranks, wraps):
             counts = np.zeros(b1 - b0, dtype=np.int64)
             below = 0
             for run in (r[:n - w], r[n - w:]):
-                s0, s1 = run.searchsorted((b0, b1)).tolist()
+                s0, s1 = run.searchsorted(bounds).tolist()
                 below += s0
                 counts += np.bincount(run[s0:s1] - b0, minlength=b1 - b0)
             np.cumsum(counts, out=row)

@@ -70,6 +70,17 @@ def test_schedule_rejects_malformed():
             parse_schedule(bad)
 
 
+def test_schedule_names_first_value_below_one(capsys):
+    import numvar.cli
+
+    for text, n_value in (("n=0,5", 0), ("n=-3,4", -3), ("n=4,-2..1", -2), ("m=2,0", 0)):
+        with pytest.raises(ConfigError, match=r"^schedule N=%d is below 1$" % n_value):
+            parse_schedule(text)
+    code = numvar.cli.main(["variance", "--seq", "monomial:d=2", "--schedule", "n=0,5"])
+    assert code == 2
+    assert "schedule N=0 is below 1" in capsys.readouterr().err
+
+
 def test_schedule_range_over_budget_fails_before_expanding():
     for text in ("n=1..2000000", "m=1..1001", "n=5, 1..2000000", "m=-1001..3"):
         with pytest.raises(BudgetError, match="exceeds budget"):

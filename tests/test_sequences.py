@@ -9,7 +9,7 @@ carry (permutation invariance, the three-distance theorem).
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
@@ -24,6 +24,7 @@ from numvar import (
     load_sequence_file,
     sample_alpha,
 )
+import numvar.fixedpoint as fp
 from numvar.fixedpoint import MODULUS, less_words
 from numvar.sequences import TERM_BOUND
 
@@ -241,6 +242,90 @@ def test_dilate_permutation_invariance():
     assert [a_pts.numerator(i) for i in range(len(terms))] == [
         b_pts.numerator(i) for i in range(len(terms))
     ]
+
+
+_EDGE = TERM_BOUND - 1  # the largest term magnitude
+
+
+def _word_sort_oracle(alpha, seq):
+    """The dilation as unsorted words, then sorted by argsort_words."""
+    return PointSet._from_words(*fp.mul_words(alpha.numerator, seq.terms))
+
+
+def _assert_same_words(got, want):
+    assert got.hi.dtype == got.lo.dtype == np.uint64
+    assert np.array_equal(got.hi, want.hi) and np.array_equal(got.lo, want.lo)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(
+    st.lists(
+        st.integers(-_EDGE, _EDGE) | st.sampled_from([0, 1, -1, _EDGE, -_EDGE]),
+        min_size=1, max_size=24, unique=True,
+    ),
+    st.integers(0, MODULUS - 1)
+    | st.sampled_from([0, 1, MODULUS - 1, 1 << 64, FixedPointReal.from_fraction(1, 3).numerator]),
+    st.sampled_from([None, 1, 3, 7]),
+)
+@example([_EDGE], MODULUS - 1, None)  # N = 1
+@example([-_EDGE, 0], 1 << 127, 1)  # N = 2, both points at the origin
+@example([_EDGE, -_EDGE], FixedPointReal.from_fraction(1, 3).numerator, 1)
+def test_dilate_matches_word_sort_oracle(values, alpha_num, block):
+    # the two-pass dilation gives the words of the unsorted multiply, sorted,
+    # for either sign of term, at the term bound, and at every block edge
+    seq = generate_sequence(SequenceSpec.custom(values), len(values))
+    alpha = FixedPointReal(alpha_num)
+    want = _word_sort_oracle(alpha, seq)
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            mp.setattr(fp, "_MUL_BLOCK", block)
+        got = dilate_mod1(alpha, seq)
+    _assert_same_words(got, want)
+
+
+@pytest.mark.parametrize("block", [None, 1, 3, 7])
+@pytest.mark.parametrize("p, q", [(1, 7), (3, 8), (0, 1), (1, 2**20)])
+def test_dilate_rational_alpha_ties_match_oracle(p, q, block, monkeypatch):
+    # squares at a rational alpha share high words above the index bits
+    # (at 1/7 by the thousand, at 1/2**20 a few dozen), so the dilation
+    # re-sorts its tie runs; the oracle must agree word for word
+    seq = generate_sequence(SequenceSpec.monomial(2), 4096)
+    alpha = FixedPointReal.from_fraction(p, q)
+    want = _word_sort_oracle(alpha, seq)
+    runs = []
+    tie_runs = fp._tie_runs
+
+    def spy(keys, bits):
+        pos = tie_runs(keys, bits)
+        runs.append(pos.size)
+        return pos
+
+    monkeypatch.setattr(fp, "_tie_runs", spy)
+    if block is not None:
+        monkeypatch.setattr(fp, "_MUL_BLOCK", block)
+    got = dilate_mod1(alpha, seq)
+    _assert_same_words(got, want)
+    assert len(runs) == 1 and runs[0] > 0
+
+
+def test_dilation_working_set():
+    # besides the terms, the dilation holds the sort keys (8 bytes a point),
+    # the bits they dropped (4) and the low words (8), plus block-sized
+    # temporaries; the allowance of 2 MiB covers those.  The dilation that
+    # built the unsorted words and gathered them by a permutation held about
+    # 33 bytes a point and fails this bound.
+    import tracemalloc
+
+    n = 1 << 18
+    seq = generate_sequence(SequenceSpec.monomial(2), n)
+    alpha = sample_alpha(3, 0)
+    tracemalloc.start()
+    try:
+        dilate_mod1(alpha, seq)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 * n + (2 << 20), peak
 
 
 def test_three_distance_theorem_at_ten_thousand():
