@@ -51,8 +51,7 @@ from .energy import (
 )
 from .theory import (
     FourierCoefficient,
-    Lemma1Result,
-    Lemma2Result,
+    LemmaResult,
     centered_statistic,
     deviation_measure,
     fourier_coefficient,
@@ -114,8 +113,7 @@ __all__ = [
     "difference_profile",
     "gcd_sum_diagnostic",
     "FourierCoefficient",
-    "Lemma1Result",
-    "Lemma2Result",
+    "LemmaResult",
     "centered_statistic",
     "deviation_measure",
     "fourier_coefficient",

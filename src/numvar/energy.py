@@ -49,8 +49,10 @@ _BAND_ENTRIES = 1 << 19
 # A window this wide is a band only when it holds at least a quarter as
 # many entries as it has values.
 _COUNT_WIDTH = 1 << 17
-# Most distinct positive differences gcd_sum_diagnostic pairs (O(D^2) gcds)
+# Most distinct positive differences gcd_row_blocks pairs (O(D^2) gcds),
+# and the cells of one row block of the gcd table
 _GCD_MAX_DISTINCT = 10000
+_GCD_BLOCK_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -305,6 +307,25 @@ def difference_energy(profile: DifferenceProfile) -> int:
     return 2 * int(np.dot(profile.counts, profile.counts))
 
 
+def gcd_row_blocks(profile: DifferenceProfile):
+    """The D x D table gcd(w, w') of the profile's positive values, by rows.
+
+    Yields (i0, i1, np.gcd.outer(w[i0:i1], w)) over row blocks of about
+    _GCD_BLOCK_CELLS cells.  BudgetError at once, before any gcd is
+    taken, when D > _GCD_MAX_DISTINCT.
+    """
+    d = profile.distinct
+    if d > _GCD_MAX_DISTINCT:
+        raise BudgetError(
+            "profile has %d distinct positive differences > cap %d" % (d, _GCD_MAX_DISTINCT)
+        )
+    w = profile.values
+    rows = max(1, _GCD_BLOCK_CELLS // max(d, 1))
+    return (
+        (i0, min(i0 + rows, d), np.gcd.outer(w[i0 : i0 + rows], w)) for i0 in range(0, d, rows)
+    )
+
+
 def gcd_sum_diagnostic(profile: DifferenceProfile) -> float:
     """sum over signed w, w' != 0 of W(w) W(w') gcd(w, w') / sqrt(|w w'|).
 
@@ -316,20 +337,11 @@ def gcd_sum_diagnostic(profile: DifferenceProfile) -> float:
     O(D^2); BudgetError when D > _GCD_MAX_DISTINCT (10000 positive
     values, 20000 signed ones), ValueError for an empty profile.
     """
-    d = profile.distinct
-    if d == 0:
+    if profile.distinct == 0:
         raise ValueError("difference profile is empty")
-    if d > _GCD_MAX_DISTINCT:
-        raise BudgetError(
-            "profile has %d distinct positive differences > cap %d" % (d, _GCD_MAX_DISTINCT)
-        )
-    w = profile.values
-    weight = profile.counts / np.sqrt(w.astype(np.float64))
-
-    rows_per_chunk = max(1, (1 << 22) // d)
-    chunk_sums = []
-    for i0 in range(0, d, rows_per_chunk):
-        i1 = min(i0 + rows_per_chunk, d)
-        g = np.gcd.outer(w[i0:i1], w).astype(np.float64)
-        chunk_sums.append(np.dot(weight[i0:i1], g @ weight))
+    blocks = gcd_row_blocks(profile)
+    weight = profile.counts / np.sqrt(profile.values.astype(np.float64))
+    chunk_sums = [
+        np.dot(weight[i0:i1], g.astype(np.float64) @ weight) for i0, i1, g in blocks
+    ]
     return 4.0 * float(np.sum(np.asarray(chunk_sums)))

@@ -9,24 +9,27 @@ side of the pair correlation:
   - fourier_coefficient: the k-th Fourier coefficient of R2 as a
                     function of the dilation factor, via divisors of k
   - mean_pair_correlation: the dilation-average of R2, exactly L - L/N
-  - x_second_moment: the variance of R2 over the dilation factor, by a
-                    spectral (Parseval) route and by direct quadrature
+  - x_second_moment: the variance of R2 over the dilation factor, in
+                    closed form or by a truncated spectral (Parseval) sum
   - deviation_measure: fraction of sampled dilations whose number
                     variance strays from L by more than delta * L
 
-Inequality checks always report lhs plus a rigorous truncation tail, so
-a truncated evaluation can never produce a false "ok".
+Both lemmas and the exact second moment are one finite expression, the
+tent overlap Phi(u, v) = sum_{n != 0} sinc^2(n u) sinc^2(n v) in closed
+form (_tent_overlap).  The inequality checks compare lhs plus its
+declared rounding bound, so a rounded evaluation can never produce a
+false "ok".
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
-from .energy import difference_count, difference_profile
+from .energy import DifferenceProfile, difference_count, difference_profile, gcd_row_blocks
 from .errors import BudgetError
 from .fixedpoint import FixedPointReal
 from .sequences import IntegerSequence, SequenceSpec, dilate_mod1, generate_sequence, sample_alpha
@@ -39,27 +42,12 @@ from .stats import (
     tent_fourier,
 )
 
-_SUM_CHUNK = 1 << 22
-# Ceiling on the terms M a lemma check sums; M above it raises BudgetError
-# before any term is summed (demo 05 and the verify suites stay far below)
-_LEMMA_TERM_CEILING = 5 * 10**7
-
-# Ceiling on N for the alpha_grid quadrature, which runs one direct pair
-# correlation per grid point; the parseval route has no such cap.
-_ALPHA_GRID_MAX_N = 256
-# alpha_grid points before any doubling, and the most it may double to
-_GRID_START = 256
-_GRID_CAP = 65536
+_EPS = float(np.finfo(np.float64).eps)  # 2^-52
+_TINY = float(np.finfo(np.float64).tiny)  # least normal float
+_FLOAT_MAX = float(np.finfo(np.float64).max)
 
 
-class Lemma1Result(NamedTuple):
-    lhs: float
-    tail_bound: float
-    bound: float
-    ok: bool
-
-
-class Lemma2Result(NamedTuple):
+class LemmaResult(NamedTuple):
     lhs: float
     bound: float
     ok: bool
@@ -73,88 +61,86 @@ class FourierCoefficient:
     L: float
 
 
-def _sum_chunked(total_terms: int, term_fn) -> float:
-    """Sum term_fn(n) for n = 1..total_terms in fixed-size chunks."""
-    chunk_sums = []
-    for n0 in range(1, total_terms + 1, _SUM_CHUNK):
-        nn = np.arange(n0, min(n0 + _SUM_CHUNK, total_terms + 1), dtype=np.float64)
-        chunk_sums.append(np.sum(term_fn(nn)))
-    return float(np.sum(np.asarray(chunk_sums))) if chunk_sums else 0.0
+def _tent_overlap(u, v, scale: float = 1.0) -> Tuple[np.ndarray, np.ndarray]:
+    """scale * Phi(u, v) and its rounding bound, elementwise over u, v > 0.
+
+    Phi(u, v) = sum over n != 0 of sinc^2(n u) sinc^2(n v).  By Poisson
+    summation it is -(1/(24 u^2 v^2)) sum_{i,j} c_i c_j B4({i u + j v})
+    over i, j in {-1, 0, 1}, c = (1, -2, 1), B4 the Bernoulli polynomial.
+    With P(t) = t^2 (1 - t)^2 (B4 less its constant, which cancels, and
+    even mod 1) the nine terms merge into
+        Phi = (2 P({u}) + 2 P({v}) - P({u + v}) - P({u - v})) / (12 u^2 v^2).
+    For u >= v and u + v <= 1 this is the polynomial 1/u - v/(3 u^2) - 1,
+    taken as (1 - (v/u)/3)/u - 1 so that no u^2 or v^2 is formed: there
+    the nine-term form would cancel its leading terms.
+
+    Phi >= 0, so a value rounded below 0 is clipped to 0.  Rounding
+    bound: with eps = 2^-52, s = scale and u >= v, the returned value
+    lies within err of s * Phi(u', v') for all real u', v' within a
+    relative eps of u and v, where
+        err = eps * (5 s/u + 8 value) + tiny                        (u + v <= 1)
+        err = eps * ((1 + u + v) s / (6 u^2 v^2) + 8 value) + tiny  (u + v > 1)
+    and tiny, the least normal float, covers underflow.  So the bound
+    also covers the rounding of a product like ell * a that forms an
+    argument.  An err that overflows is inf (the value may then be nan),
+    which no check passes.
+    """
+    u, v = np.asarray(u, dtype=np.float64), np.asarray(v, dtype=np.float64)
+    hi, lo = np.maximum(u, v), np.minimum(u, v)
+
+    def quartic(x):  # P({x}) for x >= 0
+        t = x - np.floor(x)
+        return (t * (1.0 - t)) ** 2
+
+    # both branches everywhere; the nine-term one may overflow where unused
+    with np.errstate(over="ignore", invalid="ignore"):
+        inv = scale / hi
+        f = inv / hi / lo / lo
+        num = 2.0 * (quartic(hi) + quartic(lo)) - (quartic(hi + lo) + quartic(hi - lo))
+        near = hi + lo <= 1.0
+        value = np.where(near, inv * (1.0 - (lo / hi) / 3.0) - scale, num / 12.0 * f)
+        err = np.where(near, 5.0 * inv, (1.0 + hi + lo) / 6.0 * f)
+    value = np.maximum(value, 0.0)
+    return value, _EPS * (err + 8.0 * value) + _TINY
 
 
-def _lemma_terms(est: float) -> int:
-    """Truncation point M = max(8, ceil(est)); BudgetError when M > _LEMMA_TERM_CEILING."""
-    m_terms = max(8.0, est)
-    if not m_terms <= _LEMMA_TERM_CEILING:  # for a whole ceiling, the same as ceil(m_terms) > it
-        raise BudgetError("lemma check needs M=%.4g terms > %d" % (m_terms, _LEMMA_TERM_CEILING))
-    return math.ceil(m_terms)
-
-
-def lemma1_check(a: float, tol: float = 1e-9) -> Lemma1Result:
+def lemma1_check(a: float) -> LemmaResult:
     """Check sum over n != 0 of tent_fourier(a n)^2 against 1/|a|.
 
-    The sum is truncated at M chosen so the tail bound 4/(3 pi^4 a^4
-    M^3) is at most tol (each tail term is below 1/(pi a n)^4); ok
-    requires lhs + tail_bound < 1/|a|, so truncation cannot flip a
-    failing check to passing.  M above _LEMMA_TERM_CEILING raises
-    BudgetError before anything is summed.
+    lhs = Phi(|a|, |a|) in closed form (_tent_overlap), 2/(3|a|) - 1 for
+    |a| <= 1/2.  ok requires lhs plus its rounding bound below 1/|a|, so
+    rounding cannot flip a failing check to passing.  ValueError for a
+    zero or non-finite a, and for 1/|a| not finite (|a| below about 2^-1024).
     """
-    if a == 0 or not math.isfinite(a):
-        raise ValueError("a must be finite and nonzero, got %r" % a)
-    if tol <= 0 or not math.isfinite(tol):
-        raise BudgetError("tol must be positive: the truncation point diverges")
+    if not (math.isfinite(a) and a != 0 and math.isfinite(1.0 / abs(a))):
+        raise ValueError("a must be finite and nonzero with 1/|a| finite, got %r" % a)
     aa = abs(a)
-    # M^3 * tail = 4/(3 pi^4 a^4), taken through its cube root: a**4
-    # under- or overflows long before the root or the estimate does
-    root = (4.0 / (3.0 * math.pi**4)) ** (1.0 / 3.0) / aa / aa ** (1.0 / 3.0)
-    m_terms = _lemma_terms(root / tol ** (1.0 / 3.0))
-    lhs = 2.0 * _sum_chunked(m_terms, lambda nn: np.sinc(aa * nn) ** 4)
-    tail = (root / m_terms) ** 3
+    lhs, err = _tent_overlap(aa, aa)
     bound = 1.0 / aa
-    return Lemma1Result(lhs=lhs, tail_bound=tail, bound=bound, ok=bool(lhs + tail < bound))
+    return LemmaResult(lhs=float(lhs), bound=bound, ok=bool(lhs + err < bound))
 
 
-def lemma2_check(
-    w_r: int, w_s: int, params: WindowParams, tol: Optional[float] = None
-) -> Lemma2Result:
+def lemma2_check(w_r: int, w_s: int, params: WindowParams) -> LemmaResult:
     """Check the gcd cross-sum bound for a pair of nonzero differences.
 
     lhs = (L/N) * sum over n0 != 0 of
           tent_fourier(ell w_r n0 / d) * tent_fourier(ell w_s n0 / d),
     d = gcd(w_r, w_s): the diagonal ray n1 = n0 w_r/d, n2 = n0 w_s/d of
-    spectral pairs with n1 w_s = n2 w_r.  bound = d / sqrt(|w_r w_s|).
-    ok requires lhs + tol < bound, with the truncation tail held below
-    tol by the quartic decay of the summand.
-
-    tol defaults to 5% of the bound, keeping truncation cheap at every
-    scale while leaving a wide rigorous margin.  M above
-    _LEMMA_TERM_CEILING raises BudgetError before anything is summed.
+    spectral pairs with n1 w_s = n2 w_r.  That is ell * Phi(ell a, ell b)
+    with a = |w_r|/d and b = |w_s|/d, in closed form (_tent_overlap).
+    bound = d / sqrt(|w_r w_s|); ok requires lhs plus its rounding bound
+    below it.  ValueError when |w_r w_s| is not a finite float, which
+    covers every ell * a that is not one (ell <= 1).
     """
     if w_r == 0 or w_s == 0:
         raise ValueError("w_r and w_s must be nonzero")
+    if abs(w_r) * abs(w_s) > _FLOAT_MAX:
+        raise ValueError("|w_r w_s| must be a finite float")
     d = math.gcd(abs(w_r), abs(w_s))
     bound = d / math.sqrt(abs(w_r) * abs(w_s))
-    if tol is None:
-        tol = 0.05 * bound
-    if tol <= 0 or not math.isfinite(tol):
-        raise BudgetError("tol must be positive: the truncation point diverges")
-    a = params.ell
-    f_r = a * abs(w_r) / d
-    f_s = a * abs(w_s) / d
-    # tail term at n: (pi^2 f_r f_s n^2)^-2; both signs, integral bound
-    # M^3 * tol = 4 a / (3 pi^4 f_r^2 f_s^2), taken through its cube root
-    # factor by factor: f_r^2 f_s^2 and 4a/(3 pi^4) underflow long before
-    # the root or the estimate does
-    root = (
-        (4.0 / (3.0 * math.pi**4)) ** (1.0 / 3.0) * a ** (1.0 / 3.0)
-        / f_r ** (2.0 / 3.0) / f_s ** (2.0 / 3.0)
-    )
-    m_terms = _lemma_terms(root / tol ** (1.0 / 3.0))
-    body = _sum_chunked(
-        m_terms, lambda nn: (np.sinc(f_r * nn) ** 2) * (np.sinc(f_s * nn) ** 2)
-    )
-    lhs = a * 2.0 * body
-    return Lemma2Result(lhs=lhs, bound=bound, ok=bool(lhs + tol < bound))
+    ell = params.ell
+    lhs, err = _tent_overlap(ell * (abs(w_r) // d), ell * (abs(w_s) // d), ell)
+    return LemmaResult(lhs=float(lhs), bound=bound, ok=bool(lhs + err < bound))
 
 
 def _positive_divisors(k: int) -> list:
@@ -204,38 +190,60 @@ def centered_statistic(
     return r2 - mean_pair_correlation(params)
 
 
-def _grid_r2(seq: IntegerSequence, params: WindowParams, q: int, numerators) -> np.ndarray:
-    """R2(tent) at the grid dilation nearest p/q, for each p in numerators."""
-    f = TestFunction.tent()
-    r2 = []
-    for p in numerators:
-        points = dilate_mod1(FixedPointReal.from_fraction(p, q), seq)
-        r2.append(pair_correlation_direct(points, params, f).r2)
-    return np.array(r2, dtype=np.float64)
-
-
 def pair_correlation_grid(
     seq: IntegerSequence, params: WindowParams, grid_size: int
 ) -> np.ndarray:
     """R2(tent) sampled at dilations j/Q, j = 0..Q-1 (nearest grid points)."""
-    return _grid_r2(seq, params, grid_size, range(grid_size))
+    f = TestFunction.tent()
+    r2 = [
+        pair_correlation_direct(
+            dilate_mod1(FixedPointReal.from_fraction(p, grid_size), seq), params, f
+        ).r2
+        for p in range(grid_size)
+    ]
+    return np.array(r2, dtype=np.float64)
+
+
+def _exact_moment(profile: DifferenceProfile, params: WindowParams) -> Tuple[float, float]:
+    """The exact second moment m and its rounding bound err: |m - true| <= err.
+
+    m = (4 ell/N^2) * sum over w, w' > 0 of W(w) W(w') T(w, w'), with
+    T = ell * Phi(ell a, ell b), a = w/d, b = w'/d, d = gcd(w, w'), in
+    the row blocks of energy.gcd_row_blocks.  err sums _tent_overlap's
+    bound on each T, a relative 2 D eps on the sum of the W W' T for its
+    at most 2D + 1 additions, and 2 eps * m for the scaling.
+    """
+    ell = params.ell
+    weight = profile.counts.astype(np.float64)
+    w = profile.values
+    total = slack = 0.0
+    for i0, i1, g in gcd_row_blocks(profile):
+        t, e = _tent_overlap(ell * (w[i0:i1, None] // g), ell * (w // g), ell)
+        total += float(weight[i0:i1] @ (t @ weight))
+        slack += float(weight[i0:i1] @ ((e + 2.0 * w.size * _EPS * t) @ weight))
+    scale = 4.0 * ell / (params.N * params.N)
+    m = scale * total
+    return m, scale * slack + 2.0 * _EPS * m
 
 
 def x_second_moment(
     seq: IntegerSequence,
     params: WindowParams,
-    method: str = "alpha_grid",
+    method: str = "exact",
     *,
-    rel_tol: float = 1e-3,
     tol: float = 1e-6,
     max_k: int = 1 << 26,
 ) -> float:
     """Variance of R2(tent) over the dilation factor.
 
-    method "alpha_grid": quadrature of (R2 - (L - L/N))^2 over a uniform
-    dilation grid of 256 points, doubling the density until two
-    refinements agree to rel_tol, then Richardson-extrapolated; more
-    than _GRID_CAP points raise BudgetError.  Needs N <= 256.
+    method "exact": m = (4 ell^2/N^2) * sum over w, w' > 0 of
+    W(w) W(w') Phi(ell a, ell b), with a = w/d, b = w'/d, d = gcd(w, w').
+    R2(alpha) = (1/N) * sum_{w != 0} W(w) g(alpha w), g the ell-periodised
+    tent, and by Poisson summation the alpha-integral of the centered
+    g(a x) g(b x) is ell^2 Phi(ell a, ell b), summed in closed form
+    (_tent_overlap).  One O(D^2) pass over the D positive profile values,
+    BudgetError when D > energy._GCD_MAX_DISTINCT.  Only rounding
+    separates the float from m; _exact_moment states the bound.
 
     method "parseval": sum of squared Fourier coefficients over indices
     k = n * w, 1 <= n <= M and w in the difference profile, with M from
@@ -248,66 +256,49 @@ def x_second_moment(
     contribute.  Slightly below the true moment: |n| > M terms are
     dropped everywhere, and |k| > max_k coefficients entirely; both
     tails decay like the cube of the cutoff, and halving tol and
-    doubling max_k is the practical convergence test.
+    doubling max_k is the practical convergence test.  ValueError for
+    max_k < 1.
     """
-    if method == "alpha_grid":
-        if params.N > _ALPHA_GRID_MAX_N:
-            raise BudgetError("alpha_grid quadrature capped at N <= %d" % _ALPHA_GRID_MAX_N)
-        grid = _GRID_START
-        mean = mean_pair_correlation(params)
-
-        vals = pair_correlation_grid(seq, params, grid)
-        prev = float(np.mean((vals - mean) ** 2))
-        while True:
-            if 2 * grid > _GRID_CAP:
-                raise BudgetError(
-                    "alpha grid did not stabilize to %g within %d points"
-                    % (rel_tol, _GRID_CAP)
-                )
-            odd = _grid_r2(seq, params, 2 * grid, range(1, 2 * grid, 2))
-            vals = np.stack((vals, odd), axis=1).ravel()  # interleave: p = 0, 1, 2, ...
-            grid *= 2
-            cur = float(np.mean((vals - mean) ** 2))
-            if abs(cur - prev) <= rel_tol * max(abs(cur), 1e-300):
-                # one Richardson step for the O(h^2) quadrature error
-                return cur + (cur - prev) / 3.0
-            prev = cur
-
+    if method not in ("exact", "parseval"):
+        raise ValueError("method must be 'exact' or 'parseval'")
+    n = params.N
     if method == "parseval":
+        if max_k < 1:
+            raise ValueError("max_k must be >= 1, got %r" % max_k)
         if tol <= 0 or not math.isfinite(tol):
             raise BudgetError("tol must be positive: the truncation point diverges")
-        n = params.N
         m_terms = max(1, math.ceil(2.0 * n * n / (math.pi**2 * params.L * tol)))
         if m_terms > stats.FOURIER_TERM_CEILING:
             raise BudgetError(
                 "parseval route needs M=%d terms > ceiling %d" % (m_terms, stats.FOURIER_TERM_CEILING)
             )
-        profile = difference_profile(seq)
-        if profile.distinct == 0:
-            return 0.0  # one term: R2 is 0 at every dilation
-        # the profile holds w > 0 and b_{-k} = b_k, so work on k >= 1 and
-        # double; the n <= -1 half of each coefficient folds onto n >= 1
-        scale = 2.0 * params.L / (n * n)
-        ell = params.ell
-        u_top = min(max_k, m_terms * int(profile.values[-1]))
-        block = 1 << 22
-        total = 0.0
-        for u0 in range(1, u_top + 1, block):
-            u1 = min(u0 + block, u_top + 1)
-            acc = np.zeros(u1 - u0, dtype=np.float64)
-            for w, c in zip(profile.values.tolist(), profile.counts.tolist()):
-                n_lo = -(-u0 // w)
-                n_hi = min(m_terms, (u1 - 1) // w)
-                if n_lo > n_hi:
-                    continue
-                nn = np.arange(n_lo, n_hi + 1, dtype=np.float64)
-                acc[w * n_lo - u0 : w * n_hi - u0 + 1 : w] += (
-                    (scale * c) * tent_fourier(ell * nn)
-                )
-            total += float(np.sum(acc * acc))
-        return 2.0 * total
+    profile = difference_profile(seq)
+    if profile.distinct == 0:
+        return 0.0  # one term: R2 is 0 at every dilation
+    if method == "exact":
+        return _exact_moment(profile, params)[0]
 
-    raise ValueError("method must be 'alpha_grid' or 'parseval'")
+    # the profile holds w > 0 and b_{-k} = b_k, so work on k >= 1 and
+    # double; the n <= -1 half of each coefficient folds onto n >= 1
+    scale = 2.0 * params.L / (n * n)
+    ell = params.ell
+    u_top = min(max_k, m_terms * int(profile.values[-1]))
+    block = 1 << 22
+    total = 0.0
+    for u0 in range(1, u_top + 1, block):
+        u1 = min(u0 + block, u_top + 1)
+        acc = np.zeros(u1 - u0, dtype=np.float64)
+        for w, c in zip(profile.values.tolist(), profile.counts.tolist()):
+            n_lo = -(-u0 // w)
+            n_hi = min(m_terms, (u1 - 1) // w)
+            if n_lo > n_hi:
+                continue
+            nn = np.arange(n_lo, n_hi + 1, dtype=np.float64)
+            acc[w * n_lo - u0 : w * n_hi - u0 + 1 : w] += (
+                (scale * c) * tent_fourier(ell * nn)
+            )
+        total += float(np.sum(acc * acc))
+    return 2.0 * total
 
 
 def deviation_measure(

@@ -151,7 +151,7 @@ def test_criterion_05_single_frequency_bound_sweep():
     report = run_verification_suite(("lemma1",), seed=0, trials=10**4)
     suite = report["suites"][0]
     assert suite["failures"] == 0 and report["passed"]
-    closed = lemma1_check(0.5, tol=1e-12)
+    closed = lemma1_check(0.5)
     assert abs(closed.lhs - 1.0 / 3.0) <= 1e-10
     print("[PASS] criterion 5: 10^4-draw bound sweep clean; half-integer "
           "case within %.2e of 1/3" % abs(closed.lhs - 1.0 / 3.0))
@@ -160,8 +160,8 @@ def test_criterion_05_single_frequency_bound_sweep():
 def test_criterion_06_paired_frequency_bound_sweep():
     # (L/N) * sum over n != 0 of sinc(ell w_r n / g)^2 sinc(ell w_s n / g)^2
     # stays below g / sqrt(|w_r w_s|) across 10^4 random
-    # (w_r, w_s, N, beta) tuples, every check carrying a rigorous
-    # truncation tail.
+    # (w_r, w_s, N, beta) tuples, every check deciding on the closed
+    # form plus its rounding bound.
     report = run_verification_suite(("lemma2",), seed=0, trials=10**4)
     suite = report["suites"][0]
     assert suite["failures"] == 0 and report["passed"]

@@ -446,18 +446,9 @@ def test_suite_report_key_order():
     )
     assert [list(s) for s in report["suites"]] == [
         ["name", "trials", "failures", "passed", "detail"],
-        ["name", "trials", "failures", "resampled", "passed", "detail"],
+        ["name", "trials", "failures", "passed", "detail"],
         ["name", "trials", "failures", "passed", "detail"],
     ]
-
-
-def test_suite_lemma2_resamples_tuples_over_the_term_ceiling(monkeypatch):
-    assert run_verification_suite(("lemma2",), seed=0, trials=100)["suites"][0]["resampled"] == 0
-    # at M = 8 terms the few draws with a larger truncation point go over
-    monkeypatch.setattr(harness.theory, "_LEMMA_TERM_CEILING", 8)
-    suite = run_verification_suite(("lemma2",), seed=0, trials=100)["suites"][0]
-    assert suite["resampled"] > 0
-    assert suite["trials"] == 100 and suite["failures"] == 0
 
 
 def test_suite_mean_and_parseval_small():
