@@ -16,15 +16,16 @@ represented by numerator k then alpha.mul_int(a) is represented by
 construction.
 
 Bulk points are stored as two parallel uint64 arrays of words (hi, lo),
-numerator = hi * 2**64 + lo.  The module-level word functions below are
-the only code that knows this layout: splitting and joining numerators,
-the dilation multiply, addition mod 2**128, comparison, rank queries,
-sorting, least circular gaps, exact dot products, and phases.  All of them
-are exact.  The multiply leans on numpy's uint64 arithmetic wrapping mod
-2**64, so the low word of a product is one multiply; the sort packs each
-input index into the low bits of its high word and sorts those keys once.
-sorted_mul_words, the dilation, sorts such keys straight from the multiply
-and rebuilds the words from the terms in sorted order.
+numerator = hi * 2**64 + lo.  The module-level word functions below
+hold the exact arithmetic on this layout: splitting and joining
+numerators, the dilation multiply, addition mod 2**128, comparison, rank
+queries, sorting, dot products, and phases (stats takes only the least
+circular gap off sorted words itself).  The multiply leans on numpy's
+uint64 arithmetic wrapping mod 2**64, so the low word of a product is one
+multiply; the sort packs each input index into the low bits of its high
+word and sorts those keys once.  sorted_mul_words, the dilation, sorts
+such keys straight from the multiply and rebuilds the words from the
+terms in sorted order.
 """
 
 from __future__ import annotations
@@ -330,43 +331,6 @@ def sorted_mul_words(numerator: int, terms: np.ndarray) -> Tuple[np.ndarray, np.
         hi[pos] = run_hi[sub]
         lo[pos] = run_lo[sub]
     return hi, lo
-
-
-def min_gap_words(hi: np.ndarray, lo: np.ndarray) -> int:
-    """Least circular gap between the numerators on the circle, as a Python int.
-
-    The gaps are those between neighbours in sorted order plus the
-    wrap-around gap p_0 + 2**128 - p_(n-1).  Equal numerators give 0; a
-    single numerator gives 2**128.
-    """
-    order = argsort_words(hi, lo)
-    s_hi, s_lo = hi[order], lo[order]
-    wrap = join(s_hi[0], s_lo[0]) + MODULUS - join(s_hi[-1], s_lo[-1])
-    if hi.size == 1:
-        return wrap
-    # neighbours are sorted, so every difference is >= 0 and needs one borrow
-    d_lo = s_lo[1:] - s_lo[:-1]
-    d_hi = s_hi[1:] - s_hi[:-1] - (s_lo[1:] < s_lo[:-1]).astype(np.uint64)
-    least = d_hi.min()
-    return min(join(least, d_lo[d_hi == least].min()), wrap)
-
-
-def close_pairs_words(hi: np.ndarray, lo: np.ndarray, d: int) -> int:
-    """#unordered pairs of numerators at circular distance < d, as a Python int.
-
-    0 < d <= 2**127, so no pair is close both ways round.  In sorted
-    order each point counts the points after it that lie below p + d;
-    when p + d wraps past 2**128, that is every point after it plus the
-    points below p + d - 2**128.  Equal numerators are at distance 0.
-    """
-    order = argsort_words(hi, lo)
-    s_hi, s_lo = hi[order], lo[order]
-    q_hi, q_lo = add_words(s_hi, s_lo, d)
-    rank = rank_words(s_hi, s_lo, q_hi, q_lo)
-    wrapped = less_words(q_hi, q_lo, s_hi, s_lo)
-    # point i counts rank - (i + 1), or n - (i + 1) + rank when wrapped
-    n = hi.size
-    return int(np.where(wrapped, n + rank, rank).sum()) - n * (n + 1) // 2
 
 
 def rank_words(pts_hi, pts_lo, q_hi, q_lo) -> np.ndarray:

@@ -45,10 +45,10 @@ N = 10^6 a tent sum allocates about 5 MB above its points.
 The Monte Carlo route sorts its random centers once, by the same word
 sort as the points, and counts them from the points' side: for each
 point it ranks the two ends of the arc of centers whose windows hold it
-among the sorted centers, and sums one difference array over them, so
-it makes 2N rank queries whatever the number of centers.  The counts go
-back to draw order before they are reduced, so the estimate is the
-same float as counting the centers as drawn.
+among the sorted centers, in bracketed blocks like the pair-sum queries,
+and sums one difference array over them.  The counts go back to draw
+order before they are reduced, so the estimate is the same float as
+counting the centers as drawn.
 
 The spectral route (pair_correlation_fourier, and through it
 number_variance_fourier) sums |T_n|^2 over 1 <= n <= M by baby steps
@@ -57,16 +57,16 @@ exactly from the numerators, so the M*N cos/sin calls become about
 (M/B + B)*N for B near sqrt(M), and the sums over the points run in
 fixed blocks with no BLAS, so the reduction order is fixed.  M is the
 least truncation point at which a rigorous tail bound is <= tol: the
-smallest of the trivial bound ||T_n|^2 - N| <= N(N-1) and
-the large sieve at two spacings, the least circular gap delta of the
-dilated points (Montgomery-Vaughan) and 1/(4N) with the number of
-pairs closer than that, both taken exactly from the numerators.  Both
-cut M from order N^2/(L*tol) to order N/(L*tol) plus a square-root
-term.  The second is sized for at least N/2 close pairs, so M, and
-with it the cost, is the same for every alpha whose points do not
-cluster (at N = 300, tol 1e-2 most alphas get M = 3961, where the
-least gap alone gives anything from 2.6e3 to 1.1e5).  Fully tied
-points (alpha = 0) keep the trivial M.
+smallest of the trivial bound ||T_n|^2 - N| <= N(N-1) and the large
+sieve at two spacings, the least circular gap delta of the dilated
+points (Montgomery-Vaughan) and 1/(4N) with the number of pairs closer
+than that, both exact from one sort of the numerators.  Both cut M
+from order N^2/(L*tol) to order N/(L*tol) plus a square-root term.
+The second is sized for at least N/2 close pairs, so M, and with it
+the cost, is the same for every alpha whose points do not cluster (at
+N = 300, tol 1e-2 most alphas get M = 3961, where the least gap alone
+gives anything from 2.6e3 to 1.1e5).  Fully tied points (alpha = 0)
+keep the trivial M.
 """
 
 from __future__ import annotations
@@ -85,14 +85,12 @@ from .fixedpoint import (
     FixedPointReal,
     add_words,
     argsort_words,
-    close_pairs_words,
     dot_words,
+    join,
     less_words,
-    min_gap_words,
     mul_words,
     phase_top_bits,
     rank_words,
-    split,
     to_words,
 )
 from .sequences import IntegerSequence, PointSet
@@ -108,8 +106,8 @@ FOURIER_TERM_CEILING = 10**9
 # enough that the blocks stay in cache.
 _PHASE_CHUNK_ENTRIES = 1 << 16
 
-# Rows per block of the exact pair-sum kernel: each block's query words,
-# bracketed rank searches, knot rows and dot rows stay in cache.
+# Rows per block of _rotated_ranks, for all three of its callers, and of
+# the pair-sum knot and dot rows: each block's working set stays in cache.
 _ROW_BLOCK = 1 << 15
 
 # ---------------------------------------------------------------------------
@@ -407,7 +405,7 @@ def _pair_sum(points: PointSet, ell: float, f: TestFunction) -> Fraction:
     tent, one window on [0, S] and one rank per point).  O(N log N) per
     knot of g, independent of ell, for fewer than 2**31 points.
 
-    Both passes run over the rows in blocks of _ROW_BLOCK (_shifted_ranks,
+    Both passes run over the rows in blocks of _ROW_BLOCK (_rotated_ranks,
     _knot_rows), and one int32 rank row per moved knot is the only N-long
     array kept, so the rest of the working set stays in cache.  The dots
     are exact, so their sums over the blocks are the same integers.
@@ -425,11 +423,9 @@ def _pair_sum(points: PointSet, ell: float, f: TestFunction) -> Fraction:
     lead = int(knots[0] == 0)  # K(0) = i + 1 needs no rank query
     moved = knots[lead:]
     turns0 = [e // MODULUS for e in moved]
-    # p is sorted, so the w rows that wrap, those with p_i >= 2**128 - e,
-    # are the last ones; an end on a whole turn ranks the points themselves
-    wraps = [n - int(rank_words(hi, lo, *to_words([-e % MODULUS]))[0]) if e % MODULUS else 0
-             for e in moved]
-    ranks = [_shifted_ranks(hi, lo, e % MODULUS, n - w) for e, w in zip(moved, wraps)]
+    # an end e ranks the points p_i + e mod 2**128 among the points; the w
+    # rows that wrap, p_i >= 2**128 - e, are the last ones
+    ranks, wraps = zip(*(_rotated_ranks(hi, lo, hi, lo, e) for e in moved))
 
     # sum_i K_i and the turns as ints: K = r_i + N*q, plus N on the w rows that wrap
     k_sums = [n * (n + 1) // 2] * lead
@@ -458,30 +454,34 @@ def _pair_sum(points: PointSet, ell: float, f: TestFunction) -> Fraction:
     return Fraction(total, den * scale.numerator)
 
 
-def _shifted_ranks(hi, lo, e: int, split: int) -> np.ndarray:
-    """rank(p_i + e mod 2**128) for each sorted point p_i, as one int32 row.
+def _rotated_ranks(t_hi, t_lo, q_hi, q_lo, e: int):
+    """(ranks, w): rank(q_i + e mod 2**128) among the sorted targets t, for sorted queries q.
 
-    The queries ascend on the rows below split and again on the rows from
-    split on (those that wrap), so in a block of one run they lie between
-    the block's first and last query: their ranks are the rank of the
-    first (one query of these two words among all points) plus their ranks
-    among the points in between, a search within a slice about as long as
-    the block.  An empty slice gives every row the same rank, with no
-    search.  Ranks are at most N < 2**31, which _pair_sum checks.
+    ranks is one int32 row: the ranks, at most the number of targets, must
+    be below 2**31, which the pair-sum and Monte Carlo routes check.  w
+    counts the queries that wrap, q_i >= 2**128 - e, the last w: one scalar
+    query finds them (none when e is a whole turn).  The rotated queries
+    ascend on the rows below N - w and again on the last w, so in a block
+    of _ROW_BLOCK rows of one run they are ranked within the slice of
+    targets between the ranks of the block's first and last query (one
+    query of these two words among all targets).  An empty slice gives
+    every row of the block the same rank, with no search.
     """
-    n = hi.size
+    e %= MODULUS
+    n = q_hi.size
+    w = n - int(rank_words(q_hi, q_lo, *to_words([MODULUS - e]))[0]) if e else 0
     ranks = np.empty(n, dtype=np.int32)
-    for start, stop in ((0, split), (split, n)):
+    for start, stop in ((0, n - w), (n - w, n)):
         for b0 in range(start, stop, _ROW_BLOCK):
             b1 = min(b0 + _ROW_BLOCK, stop)
-            q_hi, q_lo = add_words(hi[b0:b1], lo[b0:b1], e)
-            first, last = rank_words(hi, lo, q_hi[[0, -1]], q_lo[[0, -1]]).tolist()
+            r_hi, r_lo = add_words(q_hi[b0:b1], q_lo[b0:b1], e)
+            first, last = rank_words(t_hi, t_lo, r_hi[[0, -1]], r_lo[[0, -1]]).tolist()
             if first == last:
                 ranks[b0:b1] = first
             else:
-                np.add(rank_words(hi[first:last], lo[first:last], q_hi, q_lo), first,
+                np.add(rank_words(t_hi[first:last], t_lo[first:last], r_hi, r_lo), first,
                        out=ranks[b0:b1])
-    return ranks
+    return ranks, w
 
 
 def _knot_rows(n: int, lead: int, ranks, wraps):
@@ -561,14 +561,16 @@ def number_variance_montecarlo(
     [A, B) = [p + h - ell + 1, p + h + 1) mod 2**128, h = ell >> 1 (the
     numerators), so with the ranks of A and B among the sorted centers
     a center's count is a prefix sum of +1 at rank(A) and -1 at
-    rank(B), plus the number of intervals that wrap.  That is 2N rank
-    queries and one O(samples) pass.  The counts are written to draw
-    order before the reduction, so the result is the same float as
-    counting the centers as drawn.
+    rank(B), plus the number of intervals that wrap.  _rotated_ranks
+    ranks both ends into int32 rows, so samples must be below 2**31.  The
+    counts are written to draw order before the reduction, so the result
+    is the same float as counting the centers as drawn.
     """
     _check_points(points, params)
     if samples < 2:
         raise ValueError("samples must be >= 2")
+    if samples >= 1 << 31:  # the centers' ranks are int32
+        raise BudgetError("samples must be < 2**31")
     ell_num = params.ell_numerator
     y = np.empty(samples, dtype=np.float64)
     if ell_num >= MODULUS:  # every window holds all N points
@@ -579,21 +581,17 @@ def number_variance_montecarlo(
         order = argsort_words(raw[0::2], raw[1::2])
         c_hi, c_lo = raw[0::2][order], raw[1::2][order]
         del raw
-        # [A, B) = [B - ell, B) wraps exactly when B < ell.  Each word array
-        # goes once it is ranked, and the centers before the difference array.
         b = (ell_num >> 1) + 1
-        b_hi, b_lo = add_words(points.hi, points.lo, b)
-        wrapped = int(less_words(b_hi, b_lo, *split(ell_num)).sum())
-        r_b = rank_words(c_hi, c_lo, b_hi, b_lo)
-        del b_hi, b_lo
-        a_hi, a_lo = add_words(points.hi, points.lo, b - ell_num)
-        r_a = rank_words(c_hi, c_lo, a_hi, a_lo)
-        del c_hi, c_lo, a_hi, a_lo
+        r_a, w_a = _rotated_ranks(c_hi, c_lo, points.hi, points.lo, b - ell_num)
+        r_b, w_b = _rotated_ranks(c_hi, c_lo, points.hi, points.lo, b)
+        del c_hi, c_lo
         steps = np.bincount(r_a, minlength=samples + 1)
         steps -= np.bincount(r_b, minlength=samples + 1)
         del r_a, r_b
         np.cumsum(steps, out=steps)
-        steps += wrapped
+        # [A, B) wraps where B turned past 2**128 (the last w_b points) or,
+        # for b < ell, where A = p + b - ell did not (the first N - w_a)
+        steps += w_b - w_a + len(points) * (b < ell_num)
         y[order] = steps[:samples]
     y -= params.L
     y *= y
@@ -703,10 +701,11 @@ def pair_correlation_fourier(
     if tol <= 0 or not math.isfinite(tol):
         raise BudgetError("tol must be positive: the truncation point diverges")
     u_hi, u_lo = mul_words(alpha.numerator, seq.terms)
+    order = argsort_words(u_hi, u_lo)  # the phase sum keeps the words as they are
+    s_hi, s_lo = u_hi[order], u_lo[order]
     m_terms, bound = _truncation_point(
-        n_pts, L, tol, min_gap_words(u_hi, u_lo),
-        close_pairs_words(u_hi, u_lo, _close_spacing(n_pts)),
-    )
+        n_pts, L, tol, _min_gap(s_hi, s_lo), _close_pairs(s_hi, s_lo, _close_spacing(n_pts)))
+    del order, s_hi, s_lo
     if m_terms > FOURIER_TERM_CEILING:
         raise BudgetError(
             "spectral sum needs M=%d terms > ceiling %d; raise tol"
@@ -720,6 +719,36 @@ def pair_correlation_fourier(
 def _close_spacing(n_pts: int) -> int:
     """Numerator of the near-pair spacing d = 1/(4N) of the large sieve."""
     return MODULUS // (4 * n_pts)
+
+
+def _min_gap(hi, lo) -> int:
+    """Least circular gap between the sorted numerators, as a Python int.
+
+    The gaps are those between neighbours plus the wrap-around gap
+    p_0 + 2**128 - p_(n-1).  Equal numerators give 0; a single numerator
+    gives 2**128.
+    """
+    wrap = join(hi[0], lo[0]) + MODULUS - join(hi[-1], lo[-1])
+    if hi.size == 1:
+        return wrap
+    # neighbours are sorted, so every difference is >= 0 and needs one borrow
+    d_lo = lo[1:] - lo[:-1]
+    d_hi = hi[1:] - hi[:-1] - (lo[1:] < lo[:-1]).astype(np.uint64)
+    least = d_hi.min()
+    return min(join(least, d_lo[d_hi == least].min()), wrap)
+
+
+def _close_pairs(hi, lo, d: int) -> int:
+    """#unordered pairs of the sorted numerators at circular distance < d, as a Python int.
+
+    0 < d <= 2**127, so no pair is close both ways round.  Point i counts
+    the points after it that lie below p_i + d: r_i - (i + 1), or, for
+    the last w points, whose p_i + d wraps past 2**128, N - (i + 1) + r_i,
+    r_i = rank(p_i + d mod 2**128).  Equal numerators are at distance 0.
+    """
+    ranks, w = _rotated_ranks(hi, lo, hi, lo, d)
+    n = hi.size
+    return int(ranks.sum(dtype=np.int64)) + n * w - n * (n + 1) // 2
 
 
 def _truncation_point(n_pts: int, L: float, tol: float, gap: int, pairs: int):

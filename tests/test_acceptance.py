@@ -74,7 +74,7 @@ def test_criterion_01_variance_pair_sum_identity():
 
 def test_criterion_02_direct_and_spectral_routes_agree():
     # |R2_direct - R2_fourier| <= tol + 1e-9 at tol = 1e-6 on 100 random
-    # dilated-sequence instances with N <= 500.  The truncation count
+    # dilated-sequence instances with 2 <= N <= 12.  The truncation count
     # for the spectral route grows like N^3 / (L * tol), so instances
     # are drawn where that count stays below 6e7 summand evaluations
     # (under a fifth of a second each with the baby/giant kernel);

@@ -3,8 +3,9 @@
 Everything downstream leans on three properties checked here: floats in
 [0, 1) embed into the grid without rounding, integer scaling reduces
 mod 1 with no precision loss, and the hex serialization round-trips
-bit for bit.  The uint64 word operations are checked property by
-property against plain Python integers mod 2**128.
+bit for bit.  The uint64 word operations, and the large-sieve spacings
+that stats reads off sorted words, are checked property by property
+against plain Python integers mod 2**128.
 """
 
 import bisect
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 from numvar import FixedPointReal, FRACTION_BITS
 from numvar import fixedpoint as fp
+from numvar import stats
 from numvar.fixedpoint import MODULUS
 
 
@@ -373,7 +375,7 @@ def circular_gap_oracle(nums):
 @example([(3 << 64) | 1, (3 << 64) | 5, MODULUS - 2])  # equal high words; the wrap gap is 3
 @example([(1 << 64) | 2, M64, 0, MODULUS - 1])  # a borrow from the high word; wrap gap 1
 def test_min_gap_words_matches_bigint(nums):
-    gap = fp.min_gap_words(*fp.to_words(nums))
+    gap = stats._min_gap(*fp.to_words(sorted(nums)))
     assert type(gap) is int
     assert gap == circular_gap_oracle(nums)
 
@@ -393,9 +395,14 @@ def close_pairs_oracle(nums, d):
 @example([(3 << 64) | 1, (3 << 64) | 5, (3 << 64) | 9], 8)  # equal high words
 @example([0, 1 << 127], 1 << 127)  # exactly d apart both ways: not close
 def test_close_pairs_words_matches_bigint(nums, d):
-    pairs = fp.close_pairs_words(*fp.to_words(nums), d)
-    assert type(pairs) is int
-    assert pairs == close_pairs_oracle(nums, d)
+    # at blocks of rows that put block edges everywhere, also on the wrap
+    words = fp.to_words(sorted(nums))
+    for block in (stats._ROW_BLOCK, 1, 3, 7):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(stats, "_ROW_BLOCK", block)
+            pairs = stats._close_pairs(*words, d)
+        assert type(pairs) is int
+        assert pairs == close_pairs_oracle(nums, d)
 
 
 # weights of either sign up to TOP = 2**62 - 1, the widest dot_words accepts

@@ -435,10 +435,12 @@ def montecarlo_oracle(points, params, samples, seed):
 def test_montecarlo_blocks_match_draw_order_oracle(monkeypatch):
     # centers counted from the points' side give the same floats as the
     # centers counted as drawn, at samples N - 1, N, N + 1, far above N and
-    # far below it.  The cases: windows that wrap (ell = 0.7), the full
-    # circle (ell = 1), tied points (alpha = 1/8 puts the squares on three
-    # points), one point, dyadic points, and points on and next to the
-    # window ends of drawn centers
+    # far below it, at blocks of points from 1 up.  The cases: windows that
+    # wrap (ell = 0.7), the full circle (ell = 1), tied points (alpha = 1/8
+    # puts the squares on three points), also in windows two numerators
+    # wide, whose left ends A = p never turn back past 0, one point,
+    # dyadic points, and points on and next to the window ends of drawn
+    # centers
     seq = generate_sequence(SequenceSpec.monomial(2), 300)
     generic = dilate_mod1(sample_alpha(17, 0), seq)
     tied = dilate_mod1(FixedPointReal.from_fraction(1, 8), seq)
@@ -459,19 +461,22 @@ def test_montecarlo_blocks_match_draw_order_oracle(monkeypatch):
     cases = [(generic, WindowParams.from_beta(300, 0.3)),
              (generic, WindowParams.from_L(300, 210.0)),
              (tied, WindowParams.from_beta(300, 0.4)),
+             (tied, WindowParams.from_L(300, 300 * 2.0**-127)),  # ell = 2, A = p
              (generic, WindowParams.from_L(300, 300.0)),
              (PointSet.from_floats([0.99]), WindowParams.from_L(1, 0.25)),
              (PointSet.from_floats(np.arange(16) / 16), WindowParams.from_L(16, 4.0)),
              (on_ends, edge)]
-    assert cases[3][1].ell_numerator >= MODULUS
+    assert cases[3][1].ell_numerator == 2 and cases[4][1].ell_numerator >= MODULUS
     for points, params in cases:
         n = len(points)
         for samples in {max(2, s) for s in (2, 3, n - 1, n, n + 1, 7 * n + 3, 4000)}:
             want = montecarlo_oracle(points, params, samples, edge_seed)
-            with monkeypatch.context() as patch:
-                patch.setattr(stats, "_window_counts", None)  # the oracle only
-                got = number_variance_montecarlo(points, params, samples, edge_seed)
-            assert (got.sigma2, got.mc_stderr) == want
+            for block in (stats._ROW_BLOCK, 1, 3, 7):  # blocks of points' window ends
+                with monkeypatch.context() as patch:
+                    patch.setattr(stats, "_window_counts", None)  # the oracle only
+                    patch.setattr(stats, "_ROW_BLOCK", block)
+                    got = number_variance_montecarlo(points, params, samples, edge_seed)
+                assert (got.sigma2, got.mc_stderr) == want
 
 
 def test_montecarlo_needs_two_samples():
@@ -479,6 +484,26 @@ def test_montecarlo_needs_two_samples():
     params = WindowParams.from_L(1, 0.5)
     with pytest.raises(ValueError):
         number_variance_montecarlo(pts, params, 1, seed=0)
+
+
+def test_montecarlo_rejects_samples_past_int32_ranks(monkeypatch):
+    # the centers' ranks are int32 rows, so 2**31 samples raise before a
+    # center is drawn or the estimate's row is allocated
+    import tracemalloc
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("centers drawn")
+
+    monkeypatch.setattr(stats, "Philox", no_draw)
+    pts = PointSet.from_floats([0.5])
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError):
+            number_variance_montecarlo(pts, WindowParams.from_L(1, 0.5), 2**31, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -812,19 +837,20 @@ def test_row_blocks_meet_wrap_split_whole_turns_and_ties(monkeypatch):
     points = dilate_mod1(FixedPointReal.from_fraction(1, 8), seq)
     turns = TestFunction.custom([-2.0, -1.0, 0.0, 1.0, 2.0], [1.0, -2.0, 3.0, 0.5, 2.0], radius=2.0)
     seen = {"split": set(), "whole turn": 0, "empty": 0}
-    real_ranks, real_rank = stats._shifted_ranks, stats.rank_words
+    real_ranks, real_rank = stats._rotated_ranks, stats.rank_words
 
-    def shifted(hi, lo, e, split):
-        seen["whole turn"] += e == 0
-        seen["split"].add(split)
-        return real_ranks(hi, lo, e, split)
+    def rotated(t_hi, t_lo, q_hi, q_lo, e):
+        ranks, w = real_ranks(t_hi, t_lo, q_hi, q_lo, e)
+        seen["whole turn"] += e % MODULUS == 0
+        seen["split"].add(q_hi.size - w)
+        return ranks, w
 
     def ranked(pts_hi, pts_lo, q_hi, q_lo):
         rank = real_rank(pts_hi, pts_lo, q_hi, q_lo)
         seen["empty"] += q_hi.size == 2 and rank[0] == rank[1]
         return rank
 
-    monkeypatch.setattr(stats, "_shifted_ranks", shifted)
+    monkeypatch.setattr(stats, "_rotated_ranks", rotated)
     monkeypatch.setattr(stats, "rank_words", ranked)
     for ell in (1.0, 0.3):
         params = WindowParams.from_L(21, 21 * ell)
@@ -915,6 +941,12 @@ def test_fourier_halving_tol_moves_less_than_old_tol():
     assert abs(coarse - fine) <= 2e-4 + 1e-12
 
 
+def sorted_words(hi, lo):
+    """The words in ascending order, as the spectral route's spacings take them."""
+    order = fp.argsort_words(hi, lo)
+    return hi[order], lo[order]
+
+
 def trivial_truncation(n, L, tol):
     """M and bound of the trivial tail rule ||T_n|^2 - N| <= N(N-1)."""
     m_terms = max(1, math.ceil(2.0 * n * (n - 1) / (math.pi**2 * L * tol)))
@@ -937,8 +969,8 @@ def test_large_sieve_inequality_numeric():
         sets.append(nums)
     sets.append(sets[1] + [sets[1][0]])  # a tie: delta = 0
     for nums in sets:
-        words = fp.to_words(nums)
-        spacings = (fp.min_gap_words(*words), MODULUS // (4 * len(nums)),
+        words = fp.to_words(sorted(nums))
+        spacings = (stats._min_gap(*words), MODULUS // (4 * len(nums)),
                     MODULUS >> 12, MODULUS >> 30, MODULUS // 2)
         windows = [(int(rng.integers(1, 5000)), int(rng.integers(1, 60))) for _ in range(4)]
         for n0, k in windows + [(700, 1)]:
@@ -947,7 +979,7 @@ def test_large_sieve_inequality_numeric():
                 phases = np.array([(m * p) % MODULUS / MODULUS for p in nums])
                 power += abs(np.exp(2j * np.pi * phases).sum()) ** 2
             for d in filter(None, spacings):
-                pairs = len(nums) + 2 * fp.close_pairs_words(*words, d)
+                pairs = len(nums) + 2 * stats._close_pairs(*words, d)
                 assert power <= (k - 1 + MODULUS / d) * pairs * (1 + 1e-9)
 
 
@@ -967,9 +999,10 @@ def test_fourier_bound_covers_measured_tail():
         params = WindowParams.from_beta(len(vals), beta)
         got = pair_correlation_fourier(seq, alpha, params, tol)
         u_hi, u_lo = fp.mul_words(alpha.numerator, seq.terms)
-        pairs = fp.close_pairs_words(u_hi, u_lo, stats._close_spacing(len(vals)))
+        words = sorted_words(u_hi, u_lo)
+        pairs = stats._close_pairs(*words, stats._close_spacing(len(vals)))
         m_terms, bound = stats._truncation_point(len(vals), params.L, tol,
-                                                 fp.min_gap_words(u_hi, u_lo), pairs)
+                                                 stats._min_gap(*words), pairs)
         assert got.truncation_bound == bound <= tol
         tail = stats._phase_sum(u_hi, u_lo, params.ell, m_terms + 1, 20 * m_terms + 1)
         assert 2.0 * params.L / len(vals) ** 2 * abs(tail) <= bound
@@ -1034,9 +1067,9 @@ def test_fourier_tied_points_keep_trivial_truncation():
     for n, beta, tol in ((5, 0.3, 1e-3), (12, 0.45, 1e-4), (2, 0.2, 1e-2)):
         seq = generate_sequence(SequenceSpec.monomial(2), n)
         params = WindowParams.from_beta(n, beta)
-        u_hi, u_lo = fp.mul_words(0, seq.terms)
-        assert fp.min_gap_words(u_hi, u_lo) == 0
-        pairs = fp.close_pairs_words(u_hi, u_lo, stats._close_spacing(n))
+        words = sorted_words(*fp.mul_words(0, seq.terms))
+        assert stats._min_gap(*words) == 0
+        pairs = stats._close_pairs(*words, stats._close_spacing(n))
         assert pairs == n * (n - 1) // 2
         want = trivial_truncation(n, params.L, tol)
         assert stats._truncation_point(n, params.L, tol, 0, pairs) == want
@@ -1087,9 +1120,9 @@ def test_fourier_truncation_steady_over_alpha():
     all_pairs = n * (n - 1) // 2  # P = N^2: the near-pair bound never wins
     steady, by_gap = [], []
     for seed in range(20):
-        u_hi, u_lo = fp.mul_words(sample_alpha(seed, 0).numerator, seq.terms)
-        gap = fp.min_gap_words(u_hi, u_lo)
-        pairs = fp.close_pairs_words(u_hi, u_lo, stats._close_spacing(n))
+        words = sorted_words(*fp.mul_words(sample_alpha(seed, 0).numerator, seq.terms))
+        gap = stats._min_gap(*words)
+        pairs = stats._close_pairs(*words, stats._close_spacing(n))
         steady.append(stats._truncation_point(n, params.L, tol, gap, pairs)[0])
         by_gap.append(stats._truncation_point(n, params.L, tol, gap, all_pairs)[0])
     assert all(m <= g for m, g in zip(steady, by_gap))
