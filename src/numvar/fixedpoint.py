@@ -20,12 +20,14 @@ numerator = hi * 2**64 + lo.  The module-level word functions below
 hold the exact arithmetic on this layout: splitting and joining
 numerators, the dilation multiply, addition mod 2**128, comparison, rank
 queries, sorting, dot products, and phases (stats takes only the least
-circular gap off sorted words itself).  The multiply leans on numpy's
-uint64 arithmetic wrapping mod 2**64, so the low word of a product is one
-multiply; the sort packs each input index into the low bits of its high
-word and sorts those keys once.  sorted_mul_words, the dilation, sorts
-such keys straight from the multiply and rebuilds the words from the
-terms in sorted order.
+circular gap off sorted words itself).  One kernel, _mul_hi, gives the
+high word of every 64x64 product, for the dilation and the phases
+alike; numpy's uint64 arithmetic wraps mod 2**64, so the low word of a
+product is one multiply, and a negative term is its two's complement,
+a mod 2**64.  The sort packs each input index into the low bits of its
+high word and sorts those keys once.  sorted_mul_words, the dilation,
+sorts such keys straight from the multiply and rebuilds the words from
+the terms in sorted order.
 """
 
 from __future__ import annotations
@@ -38,9 +40,6 @@ import numpy as np
 
 FRACTION_BITS = 128
 MODULUS = 1 << FRACTION_BITS
-
-# phase_top_bits needs n < 2**32 so 32-bit limb products fit in uint64.
-PHASE_N_BOUND = 1 << 32
 
 _HEX_DIGITS = FRACTION_BITS // 4
 _M64 = (1 << 64) - 1
@@ -64,18 +63,19 @@ class FixedPointReal:
 
     @classmethod
     def from_float(cls, value: float) -> "FixedPointReal":
-        """Exact image of a float: every float in [0, 1) lies on the grid.
+        """Exact image of a finite float mod 1, which must lie on the grid.
 
-        Floats carry at most 53 significant bits, so value * 2**128 is an
-        integer whenever |value| < 1; the conversion is exact, not rounded.
+        A float's exact value is p/q with q a power of two; it lies on the
+        grid when q divides 2**128, which holds for every |value| >= 2**-76
+        (53 significant bits then end at or above 2**-128).  Any other
+        float raises ValueError, so the conversion is exact, never rounded.
         """
         if not math.isfinite(value):
             raise ValueError("value must be finite")
-        scaled = math.ldexp(value, FRACTION_BITS)
-        if scaled != int(scaled):
-            # Cannot happen for |value| < 2**75 or so; guard anyway.
+        num, den = value.as_integer_ratio()
+        if MODULUS % den:
             raise ValueError("float does not lie on the dyadic grid")
-        return cls(int(scaled))
+        return cls(num * (MODULUS // den))
 
     @classmethod
     def from_fraction(cls, p: int, q: int) -> "FixedPointReal":
@@ -135,8 +135,10 @@ class FixedPointReal:
             return self._num == other._num
         return NotImplemented
 
-    def __lt__(self, other: "FixedPointReal") -> bool:
-        return self._num < other._num
+    def __lt__(self, other: object) -> bool:
+        if isinstance(other, FixedPointReal):
+            return self._num < other._num
+        return NotImplemented
 
     def __hash__(self) -> int:
         return hash(self._num)
@@ -171,32 +173,40 @@ def to_words(numerators: Iterable[int]) -> Tuple[np.ndarray, np.ndarray]:
 def mul_words(numerator: int, terms: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """(numerator * a) mod 2**128 for each int64 term a (1-d), as (hi, lo) words.
 
-    With the numerator's words u_hi, u_lo and m = |a| < 2**63, the low word
-    is u_lo * m mod 2**64, one uint64 multiply (numpy's wraps), and the
-    high word is u_hi * m + high64(u_lo * m) mod 2**64.  high64 comes from
-    the four 32-bit partial products of u_lo and m, each < 2**64, summed
-    column by column in two carries that cannot overflow.
-    Negative terms are multiplied as |a|, and then only their products
-    are negated mod 2**128.  The terms go through in fixed blocks written
-    into the preallocated words, so the temporaries stay small.
+    A term is taken as a' = a mod 2**64, its two's complement, so the low
+    word is u_lo * a' mod 2**64, one wrapping uint64 multiply, and the
+    high word is that of u * a' (_mul_hi) less u_lo where a < 0, since
+    u * a = u * a' - u_lo * 2**64 mod 2**128 there.  The high words go
+    through in fixed blocks written into the preallocated words, so the
+    temporaries stay small.
     """
     u_hi, u_lo = (_U64(w) for w in split(numerator))
     hi = np.empty(terms.shape, dtype=np.uint64)
-    lo = np.empty(terms.shape, dtype=np.uint64)
     for start in range(0, terms.size, _MUL_BLOCK):
         block = slice(start, start + _MUL_BLOCK)
-        hi[block], lo[block] = _mul_block(u_hi, u_lo, terms[block])
-    return hi, lo
+        hi[block] = _term_hi(u_hi, u_lo, terms[block])
+    return hi, terms.view(np.uint64) * u_lo
 
 
-def _mul_block(u_hi, u_lo, terms: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    neg = np.flatnonzero(terms < 0)
-    mag = np.abs(terms).view(np.uint64)
-    # high64(u_lo * mag) from the 32-bit halves u_lo = x1:x0 and mag = y1:y0:
-    # t = x1*y0 + high32(x0*y0) < 2**64 - 2**32 and s = x0*y1 + low32(t)
-    # < 2**63 + 2**32 cannot overflow, and high64 = x1*y1 + high32(t) + high32(s)
-    x0, x1 = u_lo & _MASK32, u_lo >> _U64(32)
-    y0, y1 = mag & _MASK32, mag >> _U64(32)
+def _term_hi(u_hi, u_lo, terms: np.ndarray) -> np.ndarray:
+    """High words of (u * a) mod 2**128 for int64 terms a, in two's complement."""
+    hi = _mul_hi(u_hi, u_lo, terms.view(np.uint64))
+    np.subtract(hi, u_lo, out=hi, where=terms < 0)
+    return hi
+
+
+def _mul_hi(x_hi, x_lo, y):
+    """High word of (x * y) mod 2**128, x = x_hi * 2**64 + x_lo, for uint64 y.
+
+    The words broadcast against each other.  The high word is
+    x_hi * y + high64(x_lo * y) mod 2**64, and high64 comes from the four
+    32-bit partial products of x_lo = x1:x0 and y = y1:y0, each < 2**64:
+    t = x1*y0 + high32(x0*y0) <= 2**64 - 2**32 - 1 and
+    s = x0*y1 + low32(t) <= 2**64 - 2**32 cannot overflow for any y, and
+    high64 = x1*y1 + high32(t) + high32(s).
+    """
+    x0, x1 = x_lo & _MASK32, x_lo >> _U64(32)
+    y0, y1 = y & _MASK32, y >> _U64(32)
     t = x1 * y0
     t += (x0 * y0) >> _U64(32)
     s = x0 * y1
@@ -204,12 +214,8 @@ def _mul_block(u_hi, u_lo, terms: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     hi = x1 * y1
     hi += t >> _U64(32)
     hi += s >> _U64(32)
-    hi += u_hi * mag
-    lo = u_lo * mag
-    if neg.size:  # two's-complement negation across the 128-bit pair
-        hi[neg] = ~hi[neg] + (lo[neg] == 0)
-        lo[neg] = _U64(0) - lo[neg]
-    return hi, lo
+    hi += x_hi * y
+    return hi
 
 
 def add_words(hi: np.ndarray, lo: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -288,15 +294,15 @@ def _tie_runs(keys: np.ndarray, bits: int) -> np.ndarray:
 def sorted_mul_words(numerator: int, terms: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """The words of mul_words(numerator, terms), sorted ascending as numerators.
 
-    The unsorted words are never built.  Pass 1 runs the multiply over
-    the terms in blocks of _MUL_BLOCK and keeps only two arrays: the sort
-    keys of argsort_words (each high word with its low b bits replaced by
-    the term's index) and the b bits each key dropped, as uint32 while
-    b <= 32.  The keys are sorted in place.  Pass 2 walks the sorted keys
-    in blocks and gathers each one's term and dropped bits by its index
-    bits; the low word is recomputed as u_lo * a mod 2**64 (for a < 0 the
-    wrapping multiply by a's two's complement gives -(u_lo * |a|)), and
-    the high word is rebuilt in place over the key.  Runs of keys equal
+    The unsorted words are never built.  Pass 1 computes only the high
+    words, as mul_words does, over the terms in blocks of _MUL_BLOCK and
+    keeps only two arrays: the sort keys of argsort_words (each high word
+    with its low b bits replaced by the term's index) and the b bits each
+    key dropped, as uint32 while b <= 32.  The keys are sorted in place.
+    Pass 2 walks the sorted keys in blocks and gathers each one's term and
+    dropped bits by its index bits; the low word is u_lo * a mod 2**64,
+    the wrapping multiply of mul_words, and the high word is rebuilt in
+    place over the key.  Runs of keys equal
     above the b bits (rational alpha) are then re-sorted by (high word,
     low word).  Besides the terms, at most 8 + 4 + 8 bytes per point are
     alive at once (keys, dropped bits, low words), plus block temporaries
@@ -309,7 +315,7 @@ def sorted_mul_words(numerator: int, terms: np.ndarray) -> Tuple[np.ndarray, np.
     dropped = np.empty(terms.shape, dtype=np.uint32 if bits <= 32 else np.uint64)
     for start in range(0, terms.size, _MUL_BLOCK):
         block = slice(start, start + _MUL_BLOCK)
-        hi = _mul_block(u_hi, u_lo, terms[block])[0]
+        hi = _term_hi(u_hi, u_lo, terms[block])
         np.bitwise_and(hi, mask, out=dropped[block], casting="unsafe")
         _index_keys(hi, start, bits, keys[block])
     keys.sort()
@@ -390,18 +396,12 @@ def dot_words(c: np.ndarray, words: Sequence[np.ndarray]) -> List[int]:
 def phase_top_bits(nn: np.ndarray, u_hi: np.ndarray, u_lo: np.ndarray) -> np.ndarray:
     """Top 64 bits of (n * u) mod 2**128 as floats in [0, 1], one row per n.
 
-    nn must be < PHASE_N_BOUND so 32-bit limb products fit in uint64;
-    larger n raise ValueError.  The dropped low word perturbs each phase
-    by < 2**-64 turns before the final rounding to float64.  The spectral
-    kernel (stats._phase_sum) takes e(n u) as the product of two such
-    phases, e(n0 u) * e(k u) with n = n0 + k < 2**32, so its phase is off
-    by < 2**-63 turns before rounding; it sums the products in fixed
-    blocks, with no BLAS, so the order of the reduction is fixed too.
+    The top word is exact for every uint64 n (_mul_hi); the dropped low
+    word perturbs each phase by < 2**-64 turns before the final rounding
+    to float64.  The spectral kernel (stats._phase_sum) takes e(n u) as
+    the product of two such phases, e(n0 u) * e(k u) with n = n0 + k, so
+    its phase is off by < 2**-63 turns before rounding; it sums the
+    products in fixed blocks, with no BLAS, so the order of the reduction
+    is fixed too.
     """
-    if nn.size and int(nn.max()) >= PHASE_N_BOUND:
-        raise ValueError("phase multiplier n must be < 2**32")
-    n_col = nn[:, None]
-    # high word of n * u_lo from 32-bit halves; for n < 2**32 no sum overflows
-    mid = n_col * (u_lo >> _U64(32))[None, :] + ((n_col * (u_lo & _MASK32)[None, :]) >> _U64(32))
-    v_hi = n_col * u_hi[None, :] + (mid >> _U64(32))
-    return v_hi.astype(np.float64) * 2.0**-64
+    return _mul_hi(u_hi[None, :], u_lo[None, :], nn[:, None]).astype(np.float64) * 2.0**-64

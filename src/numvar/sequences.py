@@ -273,7 +273,7 @@ class PointSet:
 
     @classmethod
     def from_floats(cls, values) -> "PointSet":
-        """Point set from floats in [0, 1); each float maps exactly."""
+        """Point set from floats, each mapped exactly mod 1 (FixedPointReal.from_float)."""
         return cls.from_numerators(
             FixedPointReal.from_float(float(v)).numerator for v in values
         )

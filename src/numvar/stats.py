@@ -60,7 +60,7 @@ least truncation point at which a rigorous tail bound is <= tol: the
 smallest of the trivial bound ||T_n|^2 - N| <= N(N-1) and the large
 sieve at two spacings, the least circular gap delta of the dilated
 points (Montgomery-Vaughan) and 1/(4N) with the number of pairs closer
-than that, both exact from one sort of the numerators.  Both cut M
+than that, both exact from the sorted points of dilate_mod1.  Both cut M
 from order N^2/(L*tol) to order N/(L*tol) plus a square-root term.
 The second is sized for at least N/2 close pairs, so M, and with it
 the cost, is the same for every alpha whose points do not cluster (at
@@ -93,12 +93,12 @@ from .fixedpoint import (
     rank_words,
     to_words,
 )
-from .sequences import IntegerSequence, PointSet
+from .sequences import IntegerSequence, PointSet, dilate_mod1
 
 _CENTER_STREAM = 0x63656E74  # Philox counter tag for window centers
 
-# Ceiling on spectral-sum terms; BudgetError above it (raise tol instead).
-# Below 2**32 (PHASE_N_BOUND), so every phase multiplier n <= M is exact.
+# Ceiling on spectral-sum terms, a time budget: BudgetError above it
+# (raise tol instead).  The phases are exact for every uint64 n.
 FOURIER_TERM_CEILING = 10**9
 
 # Complex entries per phase table and per product block of the spectral
@@ -684,9 +684,9 @@ def pair_correlation_fourier(
     has no tail (|T_n|^2 = N).  M is the least M >= 1 at which the
     smallest of the bounds is <= tol, so it never exceeds the trivial
     bound's M, and that smallest bound is reported as truncation_bound.
-    M above FOURIER_TERM_CEILING raises BudgetError before any phase is
-    taken; the ceiling lies below 2**32, the range where the phases are
-    exact.
+    M above FOURIER_TERM_CEILING, a time budget, raises BudgetError before
+    any phase is taken.  The spacings are read off the sorted points of
+    dilate_mod1; the phases are taken from the words in term order.
 
     The kernel (_phase_sum) takes each phase as the product of two exact
     table phases and sums in fixed blocks with no BLAS, so the working set
@@ -700,17 +700,18 @@ def pair_correlation_fourier(
     L = params.L
     if tol <= 0 or not math.isfinite(tol):
         raise BudgetError("tol must be positive: the truncation point diverges")
-    u_hi, u_lo = mul_words(alpha.numerator, seq.terms)
-    order = argsort_words(u_hi, u_lo)  # the phase sum keeps the words as they are
-    s_hi, s_lo = u_hi[order], u_lo[order]
+    points = dilate_mod1(alpha, seq)
     m_terms, bound = _truncation_point(
-        n_pts, L, tol, _min_gap(s_hi, s_lo), _close_pairs(s_hi, s_lo, _close_spacing(n_pts)))
-    del order, s_hi, s_lo
+        n_pts, L, tol, _min_gap(points.hi, points.lo),
+        _close_pairs(points.hi, points.lo, _close_spacing(n_pts)))
+    del points
     if m_terms > FOURIER_TERM_CEILING:
         raise BudgetError(
             "spectral sum needs M=%d terms > ceiling %d; raise tol"
             % (m_terms, FOURIER_TERM_CEILING)
         )
+    # term order, not sorted: the phase sum reduces in index order
+    u_hi, u_lo = mul_words(alpha.numerator, seq.terms)
     tail_sum = _phase_sum(u_hi, u_lo, params.ell, 1, m_terms + 1)
     r2 = L - L / n_pts + (2.0 * L / (n_pts * n_pts)) * tail_sum
     return PairCorrResult(r2=r2, method="fourier", truncation_bound=bound, params=params)

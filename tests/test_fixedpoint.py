@@ -1,7 +1,7 @@
 """Exactness contract of the 128-bit circle arithmetic.
 
-Everything downstream leans on three properties checked here: floats in
-[0, 1) embed into the grid without rounding, integer scaling reduces
+Everything downstream leans on three properties checked here: floats
+embed into the grid mod 1 without rounding, integer scaling reduces
 mod 1 with no precision loss, and the hex serialization round-trips
 bit for bit.  The uint64 word operations, and the large-sieve spacings
 that stats reads off sorted words, are checked property by property
@@ -61,6 +61,24 @@ def test_from_float_rejects_non_finite():
         FixedPointReal.from_float(float("nan"))
     with pytest.raises(ValueError):
         FixedPointReal.from_float(float("inf"))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@example(1e300)  # frac = 0, once an OverflowError
+@example(-1e300)
+@example(2.0**-76)  # the least power of two whose ulp is 2**-128
+@example(2.0**-77 + 2.0**-128)  # below it, on the grid
+@example(5e-324)  # below it, off the grid
+def test_from_float_exact_for_every_finite_float(v):
+    # oracle: v * 2**128 mod 2**128 as an exact rational; off the grid
+    # exactly when it is not an integer
+    scaled = Fraction(v) * MODULUS
+    if scaled.denominator == 1:
+        assert FixedPointReal.from_float(v).numerator == scaled.numerator % MODULUS
+    else:
+        with pytest.raises(ValueError):
+            FixedPointReal.from_float(v)
 
 
 def test_from_fraction_one_third_rounds_to_nearest():
@@ -170,6 +188,8 @@ def test_float_protocol_and_ordering():
     assert float(a) == 0.25
     assert a < b
     assert not (b < a)
+    with pytest.raises(TypeError):
+        a < 5
     assert a != b
     assert hash(a) == hash(FixedPointReal.from_fraction(1, 4))
     assert len({a, b, FixedPointReal.from_fraction(1, 4)}) == 2
@@ -225,7 +245,7 @@ def test_split_join_round_trip(num, k):
 # block boundaries at multiples of 2**14
 @example((M64 << 64) | 12345,
          [(-1) ** k * (k * 7919 + TOP % (k + 1)) for k in range(3 * (1 << 14) + 5)])
-# no negative term over two blocks: the negation is never taken
+# no negative term over two blocks: the high word is never corrected for a sign
 @example((M64 << 64) | M64, [k * 7919 + TOP % (k + 1) for k in range((1 << 14) + 9)])
 # one negative term, in the last slot of the first block
 @example((3 << 64) | M64, [TOP - k for k in range((1 << 14) - 1)] + [-TOP, 5])
@@ -430,14 +450,16 @@ def test_dot_words_rejects_weights_with_no_limb(weight):
 
 @words_settings
 @given(
-    st.lists(st.integers(0, fp.PHASE_N_BOUND - 1), min_size=1, max_size=6),
+    st.lists(st.integers(0, M64), min_size=1, max_size=6),
     st.lists(numerators, min_size=1, max_size=6),
 )
-@example([fp.PHASE_N_BOUND - 1, 1], [MODULUS - 1, M64])
-# the largest carries into the high word: n = 2**32 - 1 with u_lo all ones
-# and with u_lo = 2**32 - 1
-@example([fp.PHASE_N_BOUND - 1], [M64])
-@example([fp.PHASE_N_BOUND - 1], [(1 << 32) - 1])
+@example([(1 << 32) - 1, 1], [MODULUS - 1, M64])
+# n = 2**32 - 1 with u_lo all ones and with u_lo = 2**32 - 1
+@example([(1 << 32) - 1], [M64])
+@example([(1 << 32) - 1], [(1 << 32) - 1])
+# n across the 32-bit limb edge, and n = 2**64 - 1 with u_lo all ones: the
+# largest carries into the high word
+@example([(1 << 32) - 1, 1 << 32, (1 << 32) + 1, M64], [M64, MODULUS - 1])
 def test_phase_top_bits_within_two_to_minus_64(ns, nums):
     u_hi, u_lo = fp.to_words(nums)
     theta = fp.phase_top_bits(np.array(ns, dtype=np.uint64), u_hi, u_lo)
@@ -448,11 +470,3 @@ def test_phase_top_bits_within_two_to_minus_64(ns, nums):
             assert theta[i, j] == math.ldexp(float(exact >> 64), -64)
             err = abs(Fraction(float(theta[i, j])) - Fraction(exact, MODULUS))
             assert err < Fraction(1, 1 << 64) + Fraction(1, 1 << 54)
-
-
-def test_phase_top_bits_rejects_large_n():
-    u_hi, u_lo = fp.to_words([(MODULUS - 1) // 3])
-    with pytest.raises(ValueError, match="2\\*\\*32"):
-        fp.phase_top_bits(np.array([(1 << 40) + 3], dtype=np.uint64), u_hi, u_lo)
-    with pytest.raises(ValueError):
-        fp.phase_top_bits(np.array([1, fp.PHASE_N_BOUND], dtype=np.uint64), u_hi, u_lo)

@@ -248,8 +248,8 @@ _EDGE = TERM_BOUND - 1  # the largest term magnitude
 
 
 def _word_sort_oracle(alpha, seq):
-    """The dilation as unsorted words, then sorted by argsort_words."""
-    return PointSet._from_words(*fp.mul_words(alpha.numerator, seq.terms))
+    """The dilation from bigint products, sorted by argsort_words."""
+    return PointSet.from_numerators((alpha.numerator * int(a)) % MODULUS for a in seq.terms)
 
 
 def _assert_same_words(got, want):

@@ -1029,7 +1029,7 @@ def test_phase_sum_matches_per_n_oracle(monkeypatch):
         want = phase_sum_oracle(u_hi, u_lo, params.ell, n_lo, n_hi)
         assert abs(got - want) * scale <= 1e-12, (n, n_lo, n_hi)
 
-    top = fp.PHASE_N_BOUND
+    top = 1 << 32
     for entries in (stats._PHASE_CHUNK_ENTRIES, 1 << 8):
         monkeypatch.setattr(stats, "_PHASE_CHUNK_ENTRIES", entries)
         alpha = sample_alpha(int(rng.integers(1 << 62)), 0)
@@ -1140,9 +1140,7 @@ def test_fourier_budget_errors():
         pair_correlation_fourier(seq, alpha, params, 0.0)
     with pytest.raises(BudgetError):
         pair_correlation_fourier(seq, alpha, params, -1.0)
-    # M just over the ceiling, which itself lies in the exact phase range
-    # n < 2**32; both routes raise before any phase is taken
-    assert stats.FOURIER_TERM_CEILING < fp.PHASE_N_BOUND
+    # M just over the ceiling; both routes raise before any phase is taken
     for route in (pair_correlation_fourier, number_variance_fourier):
         with pytest.raises(BudgetError, match="needs M=1018032743 terms > ceiling 1000000000"):
             route(seq, alpha, params, 1e-8)
