@@ -17,12 +17,17 @@ d - lo and counted in one of two ways.  A band at most _COUNT_WIDTH
 (2^17) values wide is counted by direct addressing, np.bincount over
 its hi - lo bins: O(entries + width), so where the differences are
 dense, as for the squares, the count costs O(N^2).  The walker takes
-such a narrow window as a band only when it holds at least _COUNT_WIDTH/4
-entries (a density of 1/4), so a sparse stretch is not cut into many
-nearly empty windows.  A wider band is sorted in place, with 4-byte keys
-when hi - lo <= 2^32 (8 otherwise), and read off at its run breaks:
+such a narrow window as a band only when it holds at least _COUNT_WIDTH/8
+entries (a density of 1/8, _COUNT_SPARSITY), so a sparse stretch is not
+cut into many nearly empty windows: a bincount entry costs about 10-13
+ns and a sorted one 18-25 ns, and at 1/16 the squares at N = 2^13 ran
+a quarter slower.  A wider band is sorted in place, with 4-byte keys when
+hi - lo <= 2^32 (8 otherwise), and read off at its run breaks:
 O(N^2 log N) over sparse differences.  Memory is bounded by the band,
-not by N^2.
+not by N^2: each entry holds one 8-byte slot in a key space kept across
+bands, a sorted band adds a 1-byte run mark per entry and an 8-byte cut
+per run, and the gather runs through temporaries of at most
+_GATHER_ENTRIES entries.
 
 Every statistic here is even in w, so the positive half is the one
 representation of the difference multiset: difference_profile keeps
@@ -41,14 +46,20 @@ from .errors import BudgetError
 from .sequences import IntegerSequence
 
 # Most positive differences one band gathers, whatever N is.  An entry
-# holds a slot in the 8-byte key space and the 8-byte column ramp, both
-# kept across bands, and an 8-byte column index while it is gathered; in
-# a sorted band each run of equal keys adds an 8-byte cut.
+# holds an 8-byte slot in the key space, kept across bands; in a sorted
+# band it adds a 1-byte run mark, and each run of equal keys an 8-byte cut.
 _BAND_ENTRIES = 1 << 19
 # Widest band counted by np.bincount, whose int64 bins then take 1 MB.
-# A window this wide is a band only when it holds at least a quarter as
-# many entries as it has values.
+# A window this wide is a band only when it holds at least 1/_COUNT_SPARSITY
+# as many entries as it has values: a bincount entry costs 10-13 ns and a
+# sorted one 18-25 ns (squares at N = 2^12 and 2^13), and at 1/16 the
+# emptier windows' bins cost more than the sorts they replace.
 _COUNT_WIDTH = 1 << 17
+_COUNT_SPARSITY = 8
+# Most entries one gather group holds: its column index and repeated row
+# base take 512 KiB each.  A full band is 8 groups; about half of the
+# squares' bands are one.
+_GATHER_ENTRIES = 1 << 16
 # Most distinct positive differences gcd_row_blocks pairs (O(D^2) gcds),
 # and the cells of one row block of the gcd table
 _GCD_MAX_DISTINCT = 10000
@@ -131,12 +142,12 @@ def _difference_key_bands(u: np.ndarray) -> Iterator[Tuple[int, np.ndarray, np.n
     without dropping its empty bins, which would cost more than the count.
 
     With B = _BAND_ENTRIES, the walker first tries the narrow window
-    [lo, lo + C).  It is the band when it holds between C/4 and B
-    entries (a density of at least 1/4), or when it reaches the end of
-    the span and holds at most B.  When it holds more than B, the band
-    edge is searched inside it; when it holds fewer than C/4, beyond it,
-    so a sparse stretch makes one wide sorted band, not many narrow
-    ones.  An edge hi is searched on the exact count of entries below
+    [lo, lo + C).  It is the band when it holds between C/8 and B
+    entries (a density of at least 1/8, rounded up), or when it reaches
+    the end of the span and holds at most B.  When it holds more than B,
+    the band edge is searched inside it; when it holds fewer than C/8,
+    beyond it, so a sparse stretch makes one wide sorted band, not many
+    narrow ones.  An edge hi is searched on the exact count of entries below
     it.  The first probe is lo plus the previous band's width (for the
     first band, the mean width that B entries take), later ones bisect,
     and the search stops at the first probe whose band holds between B/2
@@ -147,7 +158,8 @@ def _difference_key_bands(u: np.ndarray) -> Iterator[Tuple[int, np.ndarray, np.n
     span = int(u[-1])
     most = _BAND_ENTRIES
     least = (most + 1) // 2
-    sparse = max(1, _COUNT_WIDTH // 4)  # a narrow window with fewer entries is passed over
+    # a narrow window with fewer entries is passed over
+    sparse = max(1, -(-_COUNT_WIDTH // _COUNT_SPARSITY))
 
     def ends(v: int) -> np.ndarray:
         # row i's entries below v end at column ends(v)[i]
@@ -155,7 +167,9 @@ def _difference_key_bands(u: np.ndarray) -> Iterator[Tuple[int, np.ndarray, np.n
 
     # the ramp 0, 1, ... and the key space serve every band: fresh ones
     # per band would fault in their pages again each time
-    ramp = space = np.zeros(0, dtype=np.int64)
+    ramp = np.arange(max(_COUNT_WIDTH, _GATHER_ENTRIES))
+    ramp.flags.writeable = False  # bincount bands yield views of it
+    space = np.zeros(0, dtype=np.int64)
     top = ends(span + 1)
     below_top = int(top.sum())
     lo, start = 1, ends(1)
@@ -194,11 +208,9 @@ def _difference_key_bands(u: np.ndarray) -> Iterator[Tuple[int, np.ndarray, np.n
                 hi, stop = bad, ends(bad)
         width = hi - lo
         total = int(stop.sum()) - below_lo
-        need = max(total, width) if width <= _COUNT_WIDTH else total
-        if ramp.size < need:
-            ramp, space = np.arange(need), np.empty(need, dtype=np.int64)
-            ramp.flags.writeable = False  # bincount bands yield views of it
-        yield lo, *_band_runs(u, low32, lo, width, start, stop, ramp, space)
+        if space.size < total:
+            space = np.empty(total, dtype=np.int64)
+        yield lo, *_band_runs(u, low32, lo, width, start, stop, ramp, space[:total])
         lo, start, below_lo = hi, stop, below_lo + total
 
 
@@ -207,15 +219,18 @@ def _band_runs(u: np.ndarray, low32: np.ndarray, lo: int, width: int, start: np.
     """(offsets, counts) of the band [lo, lo + width) whose row i holds
     columns start[i] to stop[i] - 1.
 
-    Each entry is gathered into space as the key d - lo, computed in
-    k-bit words as u_j - u_i - lo mod 2^k, which is exact since
-    0 <= d - lo < 2^k.  A band at most _COUNT_WIDTH wide has int64 keys
-    and is counted by np.bincount over its width: O(entries + width),
-    with ramp[:width] as its offsets.  A wider band has uint32 keys
-    (from low32, the offsets' low words) when it is at most 2^32 wide,
-    else uint64; they are sorted in place and read off at their run
-    breaks, O(entries log entries).  ramp holds 0, 1, ... for at least
-    the band's entries.
+    Each entry is gathered into space, one slot per entry, as the key
+    d - lo, computed in k-bit words as u_j - u_i - lo mod 2^k, which is
+    exact since 0 <= d - lo < 2^k.  The rows are gathered in groups of
+    whole rows of at most _GATHER_ENTRIES entries, each through a column
+    index and a repeated row base of the group's size; a longer row is a
+    group of its own, read as one slice of the terms.  A band at most
+    _COUNT_WIDTH wide has int64 keys and is counted by np.bincount over
+    its width: O(entries + width), with ramp[:width] as its offsets.  A
+    wider band has uint32 keys (from low32, the offsets' low words) when
+    it is at most 2^32 wide, else uint64; they are sorted in place and
+    read off at their run breaks, O(entries log entries).  ramp holds 0,
+    1, ... for max(_COUNT_WIDTH, _GATHER_ENTRIES) values.
     """
     if width <= _COUNT_WIDTH:
         low = u.view(np.int64)  # np.bincount takes int64 keys without a copy
@@ -224,21 +239,32 @@ def _band_runs(u: np.ndarray, low32: np.ndarray, lo: int, width: int, start: np.
     lengths = stop - start
     rows = np.flatnonzero(lengths)
     lengths = lengths[rows]
-    total = int(lengths.sum())
-    cols = np.repeat(start[rows] - (np.cumsum(lengths) - lengths), lengths)
-    cols += ramp[:total]
-    keys = space.view(low.dtype)[:total]
-    low.take(cols, out=keys, mode="clip")  # "raise" would buffer the whole take
-    del cols  # before the row repeat, so the two never coexist
+    last = np.cumsum(lengths)  # one past each row's last slot in keys
+    first = start[rows] - (last - lengths)  # slot p of row i reads column first[i] + p
     base = low[rows]
     base += np.uint64(lo).astype(low.dtype)
-    keys -= np.repeat(base, lengths)
+    keys = space.view(low.dtype)[: space.size]
+    r0 = p0 = 0
+    while r0 < rows.size:
+        r1 = max(r0 + 1, int(np.searchsorted(last, p0 + _GATHER_ENTRIES, side="right")))
+        p1 = int(last[r1 - 1])
+        group = keys[p0:p1]
+        if r1 - r0 == 1:
+            col = int(first[r0]) + p0
+            np.subtract(low[col : col + p1 - p0], base[r0], out=group)
+        else:
+            cols = np.repeat(first[r0:r1] + p0, lengths[r0:r1])
+            cols += ramp[: p1 - p0]
+            low.take(cols, out=group, mode="clip")  # "raise" would buffer the whole take
+            del cols  # before the row repeat, so the two never coexist
+            group -= np.repeat(base[r0:r1], lengths[r0:r1])
+        r0, p0 = r1, p1
     if width <= _COUNT_WIDTH:
         return ramp[:width], np.bincount(keys, minlength=width)
     keys.sort()
     # a run starts at each key that differs from the one before it, and
     # the last run ends at keys.size
-    edges = np.ones(total + 1, dtype=bool)
+    edges = np.ones(keys.size + 1, dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=edges[1:-1])
     cuts = np.flatnonzero(edges)
     return keys[cuts[:-1]], np.diff(cuts)

@@ -364,7 +364,7 @@ def run_variance_experiment(
             ) from exc
 
     if cfg.workers == 1:
-        # kept serial: a one-thread pool lifts peak RSS at N = 10^6, 4 alphas, from 66.0 to 67.6 MB
+        # kept serial: a one-thread pool lifts peak RSS at N = 10^6, 4 alphas, from 66.1 to 68.0 MB
         rows = list(map(work, tasks))
     else:
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:

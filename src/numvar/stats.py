@@ -375,8 +375,13 @@ def _folded_windows(f: TestFunction, scale: Fraction):
     return den, windows
 
 
-def _pair_sum(points: PointSet, ell: float, f: TestFunction) -> Fraction:
+def _pair_sum(
+    points: PointSet, ell: float, f: TestFunction, folded: Optional[tuple] = None
+) -> Fraction:
     """Exact sum over ordered pairs i != j and shifts m of f((x_j - x_i + m)/ell).
+
+    folded, when given, is _folded_windows(f, Fraction(ell) * MODULUS),
+    built once by a caller that sums many point sets at one ell.
 
     Row i sees the unrolled circle P(k) = p_(k mod N) + floor(k/N) * 2**128
     (p the sorted numerators), and every ordered pair (i, j, m) is counted
@@ -413,7 +418,7 @@ def _pair_sum(points: PointSet, ell: float, f: TestFunction) -> Fraction:
     n = len(points)
     hi, lo = points.hi, points.lo
     scale = Fraction(ell) * MODULUS  # t = d / scale for a numerator difference d
-    den, windows = _folded_windows(f, scale)
+    den, windows = folded if folded is not None else _folded_windows(f, scale)
     if not windows:
         return Fraction(0)
     knots = sorted({e for w in windows for e in w[:2]})

@@ -25,13 +25,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import NamedTuple, Tuple
 
 import numpy as np
 
 from .energy import DifferenceProfile, difference_count, difference_profile, gcd_row_blocks
 from .errors import BudgetError
-from .fixedpoint import FixedPointReal
+from .fixedpoint import MODULUS, FixedPointReal
 from .sequences import IntegerSequence, SequenceSpec, dilate_mod1, generate_sequence, sample_alpha
 from . import stats
 from .stats import (
@@ -45,6 +46,9 @@ from .stats import (
 _EPS = float(np.finfo(np.float64).eps)  # 2^-52
 _TINY = float(np.finfo(np.float64).tiny)  # least normal float
 _FLOAT_MAX = float(np.finfo(np.float64).max)
+# Most values f-hat(ell n), n = 1, 2, ..., the parseval route tabulates
+# (8 MiB); the n beyond it are evaluated per w and block
+_PARSEVAL_TABLE = 1 << 20
 
 
 class LemmaResult(NamedTuple):
@@ -193,14 +197,21 @@ def centered_statistic(
 def pair_correlation_grid(
     seq: IntegerSequence, params: WindowParams, grid_size: int
 ) -> np.ndarray:
-    """R2(tent) sampled at dilations j/Q, j = 0..Q-1 (nearest grid points)."""
+    """R2(tent) sampled at dilations j/Q, j = 0..Q-1 (nearest grid points).
+
+    Each value is pair_correlation_direct's r2 at that dilation; the
+    tent's windows are built once for all of them.  ValueError for
+    grid_size < 1.
+    """
+    if grid_size < 1:
+        raise ValueError("grid_size must be >= 1, got %r" % grid_size)
     f = TestFunction.tent()
-    r2 = [
-        pair_correlation_direct(
-            dilate_mod1(FixedPointReal.from_fraction(p, grid_size), seq), params, f
-        ).r2
-        for p in range(grid_size)
-    ]
+    folded = stats._folded_windows(f, Fraction(params.ell) * MODULUS)
+    r2 = []
+    for p in range(grid_size):
+        points = dilate_mod1(FixedPointReal.from_fraction(p, grid_size), seq)
+        stats._check_points(points, params)
+        r2.append(float(stats._pair_sum(points, params.ell, f, folded) / params.N))
     return np.array(r2, dtype=np.float64)
 
 
@@ -253,11 +264,12 @@ def x_second_moment(
     alpha, so there are no dilated points to take a least gap or close
     pairs from.  Coefficients are accumulated by a blocked divisor sieve
     over k, so memory stays bounded regardless of how many (n, w) pairs
-    contribute.  Slightly below the true moment: |n| > M terms are
-    dropped everywhere, and |k| > max_k coefficients entirely; both
-    tails decay like the cube of the cutoff, and halving tol and
-    doubling max_k is the practical convergence test.  ValueError for
-    max_k < 1.
+    contribute; tent_fourier(ell n), which does not depend on w, is read
+    from one table per call of the first _PARSEVAL_TABLE n.  Slightly
+    below the true moment: |n| > M terms are dropped everywhere, and
+    |k| > max_k coefficients entirely; both tails decay like the cube of
+    the cutoff, and halving tol and doubling max_k is the practical
+    convergence test.  ValueError for max_k < 1.
     """
     if method not in ("exact", "parseval"):
         raise ValueError("method must be 'exact' or 'parseval'")
@@ -283,6 +295,11 @@ def x_second_moment(
     scale = 2.0 * params.L / (n * n)
     ell = params.ell
     u_top = min(max_k, m_terms * int(profile.values[-1]))
+
+    # f-hat(ell n) does not depend on w: one table serves every w and block,
+    # and an n beyond it is evaluated per w and block, to the same floats
+    n_table = min(m_terms, u_top // int(profile.values[0]), _PARSEVAL_TABLE)
+    table = tent_fourier(ell * np.arange(1, n_table + 1, dtype=np.float64))
     block = 1 << 22
     total = 0.0
     for u0 in range(1, u_top + 1, block):
@@ -293,10 +310,11 @@ def x_second_moment(
             n_hi = min(m_terms, (u1 - 1) // w)
             if n_lo > n_hi:
                 continue
-            nn = np.arange(n_lo, n_hi + 1, dtype=np.float64)
-            acc[w * n_lo - u0 : w * n_hi - u0 + 1 : w] += (
-                (scale * c) * tent_fourier(ell * nn)
-            )
+            if n_hi <= n_table:
+                f = table[n_lo - 1 : n_hi]
+            else:
+                f = tent_fourier(ell * np.arange(n_lo, n_hi + 1, dtype=np.float64))
+            acc[w * n_lo - u0 : w * n_hi - u0 + 1 : w] += (scale * c) * f
         total += float(np.sum(acc * acc))
     return 2.0 * total
 

@@ -254,24 +254,29 @@ def kernel_bands(values, band=None, count=None):
 @example(values=[-TOP, TOP], band=1, count=64)
 @example(values=[-TOP, -TOP + 1, TOP - 1, TOP], band=3, count=2)
 @example(values=[5], band=1, count=1)
-# with count 8 the window [1, 9) holds only d = 1 and is passed over, so
-# one sorted band runs from 1 to the span
-@example(values=[0, 1, 2**32 + 2], band=3, count=8)  # band 2^32 + 2 wide: 32-bit keys alias 1, 2^32 + 1
-@example(values=[0, 1, 2**32 + 1], band=3, count=8)  # band 2^32 + 1 wide: the narrowest 64-bit keys
-@example(values=[0, 1, 2**32], band=3, count=8)  # one band exactly 2^32 wide: the widest 32-bit keys hold
-@example(values=[-TOP, -TOP + 5, TOP - 2**32, TOP - 3], band=2, count=8)  # 32-bit keys at lo near 2^63
+# with count 16 the window [1, 17) holds only d = 1, under 16/8 entries,
+# and is passed over, so one sorted band runs from 1 to the span
+@example(values=[0, 1, 2**32 + 2], band=3, count=16)  # band 2^32 + 2 wide: 32-bit keys alias 1, 2^32 + 1
+@example(values=[0, 1, 2**32 + 1], band=3, count=16)  # band 2^32 + 1 wide: the narrowest 64-bit keys
+@example(values=[0, 1, 2**32], band=3, count=16)  # one band exactly 2^32 wide: the widest 32-bit keys hold
+@example(values=[-TOP, -TOP + 5, TOP - 2**32, TOP - 3], band=2, count=16)  # 32-bit keys at lo near 2^63
 def test_band_kernel_matches_full_table(values, band, count):
     s = seq_of(values)
     n = len(values)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(energy, "_BAND_ENTRIES", band)
-        mp.setattr(energy, "_COUNT_WIDTH", count)
-        prof = difference_profile(s)
-        e = additive_energy(s).energy
     want_vals, want_counts = full_table_profile(values)
-    assert prof.values.dtype == np.int64 and prof.counts.dtype == np.int64
     positive = [(v, c) for v, c in zip(want_vals, want_counts) if v > 0]
-    assert list(prof.items()) == positive
+    # gather groups of 1, 3 and 7 entries put group edges between rows and
+    # make rows longer than a group, which are gathered as slices
+    for gather in (1, 3, 7, energy._GATHER_ENTRIES):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(energy, "_BAND_ENTRIES", band)
+            mp.setattr(energy, "_COUNT_WIDTH", count)
+            mp.setattr(energy, "_GATHER_ENTRIES", gather)
+            prof = difference_profile(s)
+            e = additive_energy(s).energy
+        assert prof.values.dtype == np.int64 and prof.counts.dtype == np.int64
+        assert list(prof.items()) == positive, gather
+        assert e == n * n + sum(c * c for c in want_counts), gather
     if max(abs(v) for v in values) < 2**31:
         assert e == quadruple_count_oracle(values)
     else:
@@ -314,9 +319,20 @@ def random_terms(n, gamma, seed):
     return [int(v) + 1 for v in rng.choice(int(n**gamma) + n, size=n, replace=False)]
 
 
+def test_window_density_rule():
+    # with _COUNT_WIDTH = w, a narrow window is bincounted when it holds at
+    # least ceil(w/8) entries and passed over with one entry fewer.  Pairs
+    # (1000 i, 1000 i + 1) put k differences d = 1 in the first window and
+    # every other difference beyond it, in one sorted band
+    for w in (60, 64):
+        for k in (-(-w // 8), -(-w // 8) - 1):
+            values = [v for i in range(k) for v in (1000 * i, 1000 * i + 1)]
+            assert (kernel_bands(values, count=w)[2] == [w]) == (8 * k >= w), (w, k)
+
+
 def test_sparse_differences_make_few_bands():
-    # a narrow window is a band only when it is at least a quarter full,
-    # so sparse differences are sorted in bands at least half full
+    # a narrow window is a band only when it is at least 1/8 full, so
+    # sparse differences are sorted in bands at least half full
     cubes = generate_sequence(SequenceSpec.monomial(3), 2048).terms
     for values in (random_terms(1024, 2.5, seed=3), cubes):
         n = len(values)
@@ -328,7 +344,8 @@ def test_sparse_differences_make_few_bands():
 
 
 def test_counting_paths_agree_at_full_size():
-    # _COUNT_WIDTH = 0 sorts every band; bincount must give the same integers
+    # _COUNT_WIDTH = 0 sorts every band; bincount must give the same
+    # integers, and so must gather groups smaller than a row
     progression = generate_sequence(SequenceSpec.monomial(1), 4096)
     cases = (
         generate_sequence(SequenceSpec.monomial(2), 2048),
@@ -344,8 +361,30 @@ def test_counting_paths_agree_at_full_size():
             sorted_prof = difference_profile(s)
         np.testing.assert_array_equal(sorted_prof.values, prof.values)
         np.testing.assert_array_equal(sorted_prof.counts, prof.counts)
+        with pytest.MonkeyPatch.context() as mp:
+            # groups of 1000 entries: many rows longer than a group at full size
+            mp.setattr(energy, "_GATHER_ENTRIES", 1000)
+            assert additive_energy(s).energy == e
     n = len(progression)
     assert additive_energy(progression).energy == (2 * n**3 + n) // 3
+
+
+def test_energy_working_set():
+    # a band holds an 8-byte key slot per entry, and its gather temporaries
+    # are bounded by _GATHER_ENTRIES; with the fixed ramp and the bincount
+    # bins, the squares at N = 2^12 stay within 8 MiB.  Bincounting only
+    # windows at least a quarter full, and gathering each band at once
+    # through temporaries as long as the band, took 14.6 MiB here.
+    import tracemalloc
+
+    seq = generate_sequence(SequenceSpec.monomial(2), 4096)
+    tracemalloc.start()
+    try:
+        additive_energy(seq)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 << 20, peak
 
 
 # ---------------------------------------------------------------------------

@@ -19,15 +19,18 @@ from numvar import (
     BudgetError,
     FixedPointReal,
     SequenceSpec,
+    TestFunction,
     WindowParams,
     centered_statistic,
     deviation_measure,
     difference_profile,
+    dilate_mod1,
     fourier_coefficient,
     generate_sequence,
     lemma1_check,
     lemma2_check,
     mean_pair_correlation,
+    pair_correlation_direct,
     pair_correlation_grid,
     tent_fourier,
     x_second_moment,
@@ -369,6 +372,30 @@ def test_mean_dyadic_grid_aliases():
     assert abs(float(np.mean(grid)) - want) > 1e-2 * want
 
 
+def test_grid_is_the_direct_route_at_each_dilation():
+    # the grid builds the tent's windows once; each value stays the
+    # direct route's float at its dilation
+    n, q = 12, 7
+    seq = generate_sequence(SequenceSpec.monomial(2), n)
+    params = WindowParams.from_beta(n, 0.35)
+    want = [
+        pair_correlation_direct(
+            dilate_mod1(FixedPointReal.from_fraction(j, q), seq), params, TestFunction.tent()
+        ).r2
+        for j in range(q)
+    ]
+    assert pair_correlation_grid(seq, params, q).tolist() == want
+
+
+def test_grid_rejects_empty_grid():
+    # grid_size 0 once returned an empty array, whose mean is nan
+    seq = generate_sequence(SequenceSpec.monomial(2), 8)
+    params = WindowParams.from_beta(8, 0.3)
+    for q in (0, -3):
+        with pytest.raises(ValueError, match="grid_size"):
+            pair_correlation_grid(seq, params, q)
+
+
 def test_centered_statistic_zero_mean_on_prime_grid():
     n = 32
     seq = generate_sequence(SequenceSpec.monomial(2), n)
@@ -533,6 +560,17 @@ def test_moment_parseval_max_k_below_one_rejected(monkeypatch):
     for max_k in (0, -5):
         with pytest.raises(ValueError, match="max_k"):
             x_second_moment(seq, params, method="parseval", max_k=max_k)
+
+
+def test_moment_parseval_table_keeps_floats(monkeypatch):
+    # the f-hat table and the per-w evaluation beyond it give the same
+    # floats: a table of 0 or 7 values changes no bit of the moment
+    seq = generate_sequence(SequenceSpec.monomial(2), 24)
+    params = WindowParams.from_beta(24, 0.3)
+    want = x_second_moment(seq, params, method="parseval", tol=0.05)
+    for cap in (0, 7):
+        monkeypatch.setattr(theory, "_PARSEVAL_TABLE", cap)
+        assert x_second_moment(seq, params, method="parseval", tol=0.05) == want
 
 
 def test_moment_single_term_is_zero():
